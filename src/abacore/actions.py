@@ -24,7 +24,7 @@ from .partitions import (
     check_modulus,
     partition_of_symbol,
 )
-from .quotients import tau_e, tau_e_inverse, tau_l, tau_l_inverse
+from .quotients import level_rank_transpose, tau_e_inverse, tau_l
 
 
 def parse_word(word, rank):
@@ -212,37 +212,18 @@ def sigma_ordinary(i, mp, charges, e):
     return as_multipartition(out)
 
 
-def _sigma_ordinary_symbols(i, mp, charges, e):
-    """Second route: swap runners (i-1, i) of the transposed e-symbol.
-
-    For i = 0 the wrap applies: the top runner moves into slot 0 with its
-    charge raised by l, slot 0 into the top with its charge lowered by l.
-    Used to cross-check the node-toggle route.
-    """
-    mp = as_multipartition(mp)
-    l = len(mp)
-    charges = as_charges(charges, l)
-    mp_e, s_e = tau_e(*tau_l_inverse(mp, charges, e), e)
-    mp_e, s_e = list(mp_e), list(s_e)
-    if i == 0:
-        mp_e = [mp_e[-1]] + mp_e[1:-1] + [mp_e[0]]
-        s_e = [s_e[-1] + l] + s_e[1:-1] + [s_e[0] - l]
-    else:
-        mp_e[i - 1], mp_e[i] = mp_e[i], mp_e[i - 1]
-        s_e[i - 1], s_e[i] = s_e[i], s_e[i - 1]
-    p, m = tau_e_inverse(tuple(mp_e), tuple(s_e))
-    new_mp, new_charges = tau_l(p, m, e, l)
-    assert new_charges == charges
-    return new_mp
-
-
 def sigma_star(i, mp, charges, e):
     """The crystal-side involution: swap the reduced signature's letter counts.
 
-    With a A's and r R's surviving reduction, remove the good removable
-    r - a times when r >= a, otherwise add the good addable a - r times.
-    Meant for multipartitions reachable from the empty one by good-node
-    additions; there it is an involution and preserves the block weight.
+    The reduced i-signature reads A^a R^r.  Removing the good removable
+    (leftmost surviving R) turns that letter into an A and leaves every
+    other letter and cancellation in place, and adding the good addable
+    (rightmost surviving A) works the same way.  So one signature gives all
+    moves: remove its first r - a surviving R's, or add its last a - r
+    surviving A's.  The test oracle sigma_star_by_moves in tests/oracle.py
+    rebuilds the signature after every move instead.  Meant for
+    multipartitions reachable from the empty one by good-node additions;
+    there it is an involution and preserves the block weight.
     """
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
@@ -250,11 +231,8 @@ def sigma_star(i, mp, charges, e):
     sig = i_signature(mp, charges, e, i)
     a = sum(1 for letter, _ in sig.reduced if letter == "A")
     r = len(sig.reduced) - a
-    for _ in range(abs(r - a)):
-        sig = i_signature(mp, charges, e, i)
-        node = sig.good_removable if r >= a else sig.good_addable
-        assert node is not None
-        mp = remove_node(mp, node) if r >= a else add_node(mp, node)
+    for letter, node in sig.reduced[min(a, r) : max(a, r)]:
+        mp = remove_node(mp, node) if letter == "R" else add_node(mp, node)
     return mp
 
 
@@ -272,7 +250,7 @@ def duality_transport(i, mp, charges, e):
     e = check_modulus(e)
     if not 0 <= i < e:
         raise ValueError("residue out of range")
-    mp_e, s_e = tau_e(*tau_l_inverse(mp, charges, e), e)
+    mp_e, s_e = level_rank_transpose(mp, charges, e)
     if i >= 1:
         mp_e, s_e = _pair_components(mp_e, s_e, i)
     else:
@@ -283,5 +261,6 @@ def duality_transport(i, mp, charges, e):
         s_e = rot_s[1:] + (rot_s[0] - l,)
     p, m = tau_e_inverse(mp_e, s_e)
     new_mp, new_charges = tau_l(p, m, e, l)
-    assert new_charges == charges
+    if new_charges != charges:
+        raise RuntimeError("duality transport changed the level charges")
     return new_mp

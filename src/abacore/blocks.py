@@ -23,6 +23,8 @@ from .partitions import (
 )
 from .quotients import (
     _require_domain,
+    _rotate,
+    _transpose_weight,
     generalized_core,
     in_closed_domain,
     tau_e,
@@ -49,16 +51,17 @@ def block_id(mp, charges, e):
 
     The label is the e-symbol charge tuple of the e-core of the underlying
     partition, plus the e-quotient size (which equals the generalized core
-    weight).
+    weight).  Both are read off one pass of the level-rank transpose, with
+    no partition built: the runner counts give s_e, the bead sums |mp_e|.
     """
     mp = as_multipartition(mp)
     l = len(mp)
     charges = as_charges(charges, l)
     e = check_modulus(e)
     _require_domain(charges, e)
-    p, m = tau_l_inverse(mp, charges, e)
-    quotient, s_e = tau_e(p, m, e)
-    return BlockId(s_e, mp_size(quotient), e, l, m)
+    runners, rbottom = _rotate(mp, charges, e)
+    s_e = tuple(rbottom + len(r) for r in runners)
+    return BlockId(s_e, _transpose_weight(runners, rbottom), e, l, sum(charges))
 
 
 def blocks_of(n, charges, e):
@@ -233,7 +236,8 @@ def realize_multicharge(start, target, e):
         partition_of_symbol(tuple(sorted(buckets[l - 1 - j])), start[j])
         for j in range(l)
     )
-    assert generalized_core(witness, start, e).core_charges == target
+    if generalized_core(witness, start, e).core_charges != target:
+        raise RuntimeError("realized witness misses the target multicharge")
     return witness
 
 

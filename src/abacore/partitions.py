@@ -72,6 +72,11 @@ def beta_set(p, m, rows):
     m, rows = int(m), int(rows)
     if rows < len(p):
         raise ValueError("window too small")
+    return _beta_window(p, m, rows)
+
+
+def _beta_window(p, m, rows):
+    """beta_set for a validated partition and a window that covers it."""
     parts = p + (0,) * (rows - len(p))
     return tuple(parts[i] - (i + 1) + m for i in reversed(range(rows)))
 
@@ -81,9 +86,14 @@ def partition_of_symbol(betas, m):
     betas = tuple(int(b) for b in betas)
     if any(a >= b for a, b in zip(betas, betas[1:])):
         raise ValueError("symbol entries must be strictly increasing")
-    parts = [b + i + 1 - m for i, b in enumerate(reversed(betas))]
-    if parts and parts[-1] < 0:
+    if betas and betas[0] + len(betas) < m:
         raise ValueError("symbol window does not match the charge")
+    return _partition_of_window(betas, m)
+
+
+def _partition_of_window(betas, m):
+    """partition_of_symbol for a strictly increasing window that matches m."""
+    parts = [b + i + 1 - m for i, b in enumerate(reversed(betas))]
     while parts and parts[-1] == 0:
         parts.pop()
     return tuple(parts)

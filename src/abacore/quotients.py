@@ -12,6 +12,11 @@ Three decompositions of a charged partition's beta-set drive everything:
   runner x % e of an e-symbol.  This is the runner split of the level
   split's inverse, computed without reassembling the big partition.
 
+The generalized core and its weight are closed forms on that rotation,
+read in one pass over the beads; no elementary move is simulated (the
+move-by-move fixed point is the test oracle generalized_core_by_moves in
+tests/oracle.py).
+
 All windows track beads down to an explicit bottom position; charges are
 recovered as bottom + bead count, which keeps every map exact on finite
 data.  Negative positions use floor division and mathematical mod, so the
@@ -21,6 +26,8 @@ finite windows agree with the infinite trivial tails.
 from typing import NamedTuple
 
 from .partitions import (
+    _beta_window,
+    _partition_of_window,
     as_charges,
     as_multipartition,
     as_partition,
@@ -86,9 +93,7 @@ def tau_e_inverse(quotient, s_e):
 
 def e_core_partition(p, e):
     """The partition left after emptying every runner; independent of the charge."""
-    _, charges = tau_e(p, 0, e)
-    core, _ = tau_e_inverse(((),) * int(e), charges)
-    return core
+    return _flush_partition(tau_e(p, 0, e)[1], int(e))
 
 
 def core_data(p, m, e):
@@ -146,7 +151,7 @@ def _bucket_windows(mp, charges, e):
     buckets = []
     for d in range(l):
         j = l - 1 - d
-        buckets.append(beta_set(mp[j], charges[j], charges[j] - vbottom))
+        buckets.append(_beta_window(mp[j], charges[j], charges[j] - vbottom))
     return buckets, vbottom
 
 
@@ -158,21 +163,32 @@ def level_rank_transpose(mp, charges, e):
     directly so the two routes can check each other.
     """
     mp = as_multipartition(mp)
-    l = len(mp)
-    charges = as_charges(charges, l)
+    charges = as_charges(charges, len(mp))
     e = check_modulus(e)
+    runners, rbottom = _rotate(mp, charges, e)
+    s_e = tuple(rbottom + len(r) for r in runners)
+    mp_e = tuple(_partition_of_window(sorted(r), s) for r, s in zip(runners, s_e))
+    return mp_e, s_e
+
+
+def _rotate(mp, charges, e):
+    """The transpose as raw bead positions: the positions on each e-runner
+    and the bottom below which every runner is full.  Inputs must already
+    be validated."""
+    l = len(mp)
     buckets, vbottom = _bucket_windows(mp, charges, e)
-    rbottom = l * (vbottom // e)  # every runner is full below this position
+    rbottom = l * (vbottom // e)
     runners = [[] for _ in range(e)]
     for d, values in enumerate(buckets):
         for v in values:
             c = v % e
             runners[c].append(d + l * ((v - c) // e))
-    s_e = tuple(rbottom + len(r) for r in runners)
-    mp_e = tuple(
-        partition_of_symbol(tuple(sorted(r)), s) for r, s in zip(runners, s_e)
-    )
-    return mp_e, s_e
+    return runners, rbottom
+
+
+def _transpose_weight(runners, rbottom):
+    """|mp_e| of rotated runners: bead sums minus each runner's flush sum."""
+    return sum(sum(r) - len(r) * (2 * rbottom + len(r) - 1) // 2 for r in runners)
 
 
 def in_closed_domain(charges, e):
@@ -194,57 +210,45 @@ def _require_domain(charges, e):
         raise ValueError("charges not in fundamental domain")
 
 
-def _tracked_beads(mp, charges):
-    bottom = min(s - len(c) for s, c in zip(charges, mp))
-    return [set(beta_set(c, s, s - bottom)) for c, s in zip(mp, charges)], bottom
-
-
-def _elementary_moves(tracked, bottom, e):
-    """All currently possible elementary operations (j, x, target, y)."""
-    l = len(tracked)
-    moves = []
-    for j in range(l):
-        tgt, shift = (j + 1, 0) if j + 1 < l else (0, -e)
-        for x in sorted(tracked[j]):
-            y = x + shift
-            if y >= bottom and y not in tracked[tgt]:
-                moves.append((j, x, tgt, y))
-    return moves
-
-
-def _run_to_fixed_point(tracked, bottom, e, pick=None):
-    ops = 0
-    while True:
-        moves = _elementary_moves(tracked, bottom, e)
-        if not moves:
-            return ops
-        j, x, tgt, y = moves[0] if pick is None else pick(moves)
-        tracked[j].remove(x)
-        tracked[tgt].add(y)
-        ops += 1
-
-
 def generalized_core(mp, charges, e):
-    """Drive the l-abacus to its fixed point under elementary operations.
+    """Generalized core and weight, read off the level-rank transpose.
 
-    An elementary operation lifts a bead one runner up if that slot is
-    free; from the top runner it wraps to the bottom runner e positions to
-    the left.  The number of operations performed is the weight.  Beads
-    below the tracked window never move (the region is solid and stays
-    solid), so the finite window is exact.
+    An elementary operation (lift a bead one component up if that slot is
+    free, wrapping from the top component to the bottom one e positions to
+    the left) moves one bead one position down its own runner of the
+    transpose.  Every order of moves therefore ends at the empty e-quotient
+    at the runner charges s_e after |mp_e| moves: the weight is |mp_e|, from
+    bead sums, and the core is the inverse transpose of the flush runners.
+    Position x on runner c returns to bucket x % l at value c + e*(x // l),
+    so component j (bucket l-1-j) fills runner c of its own abacus below
+    (s_e[c] + j) // l, and the core charges are level_multicharge(s_e, e, l).
+    The test oracle generalized_core_by_moves in tests/oracle.py simulates
+    the moves instead.
     """
     mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
+    l = len(mp)
+    charges = as_charges(charges, l)
     e = check_modulus(e)
     _require_domain(charges, e)
-    tracked, bottom = _tracked_beads(mp, charges)
-    weight = _run_to_fixed_point(tracked, bottom, e)
-    core_charges = tuple(bottom + len(t) for t in tracked)
-    core_mp = tuple(
-        partition_of_symbol(tuple(sorted(t)), s)
-        for t, s in zip(tracked, core_charges)
+    runners, rbottom = _rotate(mp, charges, e)
+    s_e = [rbottom + len(r) for r in runners]
+    heights = [[(s + j) // l for s in s_e] for j in range(l)]
+    return GeneralizedCore(
+        tuple(_flush_partition(h, e) for h in heights),
+        tuple(sum(h) for h in heights),
+        _transpose_weight(runners, rbottom),
     )
-    return GeneralizedCore(core_mp, core_charges, weight)
+
+
+def _flush_partition(heights, e):
+    """The partition whose beta-set fills runner c below position heights[c]."""
+    betas = [
+        c + e * k
+        for k in range(min(heights), max(heights))
+        for c in range(e)
+        if k < heights[c]
+    ]
+    return _partition_of_window(betas, sum(heights))
 
 
 def is_core(mp, charges, e):
@@ -253,7 +257,8 @@ def is_core(mp, charges, e):
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
     _require_domain(charges, e)
-    tracked, bottom = _tracked_beads(mp, charges)
+    bottom = min(s - len(c) for s, c in zip(charges, mp))
+    tracked = [set(beta_set(c, s, s - bottom)) for c, s in zip(mp, charges)]
     for a, b in zip(tracked, tracked[1:]):
         if not a <= b:
             return False
@@ -275,5 +280,4 @@ def is_core_nodewise(mp, charges, e):
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
     _require_domain(charges, e)
-    mp_e, _ = level_rank_transpose(mp, charges, e)
-    return not any(mp_e)
+    return _transpose_weight(*_rotate(mp, charges, e)) == 0

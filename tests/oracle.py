@@ -1,9 +1,24 @@
-"""Diagram-level reference implementations used to cross-check the library.
+"""Reference implementations used to cross-check the library.
 
-Everything here manipulates Young diagrams as cell sets and never touches
-beta-numbers, so agreement with the abacus routes is an actual check and not
-a tautology.  Speed does not matter; clarity does.
+The diagram-level routes manipulate Young diagrams as cell sets and never
+touch beta-numbers, so agreement with the abacus routes is an actual check
+and not a tautology.  The move-by-move routes replay the definitions the
+library replaced by closed forms: generalized_core_by_moves runs elementary
+operations to their fixed point, sigma_star_by_moves rebuilds the signature
+after every good-node move.  fayers_weight is the abacus-free residue-count
+weight.  Speed does not matter; clarity does.
 """
+
+from itertools import product
+
+from abacore import (
+    GeneralizedCore,
+    add_node,
+    count_nodes_by_residue,
+    i_signature,
+    remove_node,
+)
+from abacore.partitions import beta_set, multipartitions_of, partition_of_symbol
 
 
 def partitions_of(n, max_part=None):
@@ -119,3 +134,84 @@ def brute_removable(p):
         if width > below:
             out.append((r, width))
     return out
+
+
+def closed_domain_grid(max_size=5):
+    """Every (mp, charges, e) with e in {2, 3, 4}, l in {1, 2, 3}, size at
+    most max_size and closed-domain charges of sum 0: the exhaustive grid
+    the closed forms are checked on."""
+    for e in (2, 3, 4):
+        for l in (1, 2, 3):
+            for charges in product(range(-e, e + 1), repeat=l):
+                closed = list(charges) == sorted(charges) and charges[-1] - charges[0] <= e
+                if sum(charges) != 0 or not closed:
+                    continue
+                for n in range(max_size + 1):
+                    for mp in multipartitions_of(n, l):
+                        yield mp, charges, e
+
+
+def _elementary_moves(tracked, bottom, e):
+    """All currently possible elementary operations (j, x, target, y)."""
+    l = len(tracked)
+    moves = []
+    for j in range(l):
+        tgt, shift = (j + 1, 0) if j + 1 < l else (0, -e)
+        for x in sorted(tracked[j]):
+            y = x + shift
+            if y >= bottom and y not in tracked[tgt]:
+                moves.append((j, x, tgt, y))
+    return moves
+
+
+def generalized_core_by_moves(mp, charges, e, pick=None):
+    """Drive the l-abacus to its fixed point under elementary operations.
+
+    An elementary operation lifts a bead one runner up if that slot is
+    free; from the top runner it wraps to the bottom runner e positions to
+    the left.  The number of operations performed is the weight.  Beads
+    below the tracked window never move (the region is solid and stays
+    solid), so the finite window is exact.  `pick` chooses among the
+    possible moves (default: the first); the end point must not depend on
+    it.  Inputs are taken as valid closed-domain data.
+    """
+    bottom = min(s - len(c) for s, c in zip(charges, mp))
+    tracked = [set(beta_set(c, s, s - bottom)) for c, s in zip(mp, charges)]
+    weight = 0
+    while True:
+        moves = _elementary_moves(tracked, bottom, e)
+        if not moves:
+            break
+        j, x, tgt, y = moves[0] if pick is None else pick(moves)
+        tracked[j].remove(x)
+        tracked[tgt].add(y)
+        weight += 1
+    core_charges = tuple(bottom + len(t) for t in tracked)
+    core_mp = tuple(
+        partition_of_symbol(tuple(sorted(t)), s)
+        for t, s in zip(tracked, core_charges)
+    )
+    return GeneralizedCore(core_mp, core_charges, weight)
+
+
+def sigma_star_by_moves(i, mp, charges, e):
+    """sigma_star one good node at a time, rebuilding the signature each move."""
+    sig = i_signature(mp, charges, e, i)
+    a = sum(1 for letter, _ in sig.reduced if letter == "A")
+    r = len(sig.reduced) - a
+    for _ in range(abs(r - a)):
+        sig = i_signature(mp, charges, e, i)
+        node = sig.good_removable if r >= a else sig.good_addable
+        mp = remove_node(mp, node) if r >= a else add_node(mp, node)
+    return mp
+
+
+def fayers_weight(mp, charges, e):
+    """Weight from residue counts alone (Fayers, Adv. Math. 206 (2006)).
+
+    w = sum_j c_{s_j} - 1/2 sum_i (c_i - c_{i+1})^2, indices mod e, where
+    c_i counts the cells of residue i.
+    """
+    c = count_nodes_by_residue(mp, charges, e)
+    square = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
+    return sum(c[s % e] for s in charges) - square // 2

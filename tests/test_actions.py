@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import abacore.actions
 from abacore import (
     act_charge_e,
     act_charge_l,
@@ -158,6 +159,27 @@ def test_sigma_star_involution_on_uglov_members():
                     for i in range(e):
                         out = sigma_star(i, mp, charges, e)
                         assert sigma_star(i, out, charges, e) == mp
+
+
+def test_sigma_star_matches_the_move_oracle_exhaustively():
+    for mp, charges, e in oracle.closed_domain_grid():
+        for i in range(e):
+            assert sigma_star(i, mp, charges, e) == oracle.sigma_star_by_moves(
+                i, mp, charges, e
+            )
+
+
+def test_transport_checks_the_level_charges(monkeypatch):
+    # the guard on the returned value must survive python -O
+    real_tau_l = abacore.actions.tau_l
+
+    def drifting_tau_l(p, m, e, l):
+        mp, charges = real_tau_l(p, m, e, l)
+        return mp, tuple(c + 1 for c in charges)
+
+    monkeypatch.setattr(abacore.actions, "tau_l", drifting_tau_l)
+    with pytest.raises(RuntimeError):
+        duality_transport(1, ((1,), ()), (0, 1), 2)
 
 
 def test_transport_matches_sigma_star():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import abacore.blocks
 from abacore import (
     BlockId,
     act_charge_e,
@@ -12,6 +13,7 @@ from abacore import (
     blocks_of,
     count_nodes_by_residue,
     f_tilde,
+    generalized_core,
     in_closed_domain,
     is_scopes,
     is_scopes_exhaustive,
@@ -20,9 +22,13 @@ from abacore import (
     reachable_multicharges,
     realize_multicharge,
     sigma_ordinary,
+    tau_e,
+    tau_l_inverse,
     uglov_set,
 )
-from abacore.partitions import multipartitions_of
+from abacore.partitions import mp_size, multipartitions_of
+
+import oracle
 
 # all bipartitions of 4 at charges (0, 1), e = 4, sorted into blocks
 BLOCKS_4 = {
@@ -48,6 +54,16 @@ UGLOV_4 = {
 def test_block_id_example():
     b = block_id(((2, 1), (1,)), (0, 1), 4)
     assert b == BlockId((0, 2, -1, 0), 0, 4, 2, 1)
+
+
+def test_block_id_matches_the_long_route_exhaustively():
+    for mp, charges, e in oracle.closed_domain_grid():
+        p, m = tau_l_inverse(mp, charges, e)
+        quotient, s_e = tau_e(p, m, e)
+        want = BlockId(s_e, mp_size(quotient), e, len(mp), m)
+        assert block_id(mp, charges, e) == want
+        core = generalized_core(mp, charges, e)
+        assert core.core_charges == level_multicharge(s_e, e, len(mp))
 
 
 def test_blocks_of_example():
@@ -186,6 +202,19 @@ def test_realize_rejects_unreachable_targets():
         realize_multicharge((0, 0), (0, 1), 3)  # wrong sum
     with pytest.raises(ValueError):
         realize_multicharge((0, 0), (-5, 5), 3)  # spread too wide
+
+
+def test_realize_checks_its_witness(monkeypatch):
+    # the guard on the returned value must survive python -O
+    real_core = abacore.blocks.generalized_core
+
+    def wrong_core(mp, charges, e):
+        g = real_core(mp, charges, e)
+        return g._replace(core_charges=tuple(reversed(g.core_charges)))
+
+    monkeypatch.setattr(abacore.blocks, "generalized_core", wrong_core)
+    with pytest.raises(RuntimeError):
+        realize_multicharge((0, 0), (-1, 1), 3)
 
 
 def test_reachable_example():

@@ -169,6 +169,18 @@ def test_weight_is_the_transpose_size(data):
         charges = (charges[0],) * len(charges)
     g = generalized_core(mp, charges, e)
     assert g.weight == mp_size(level_rank_transpose(mp, charges, e)[0])
+    assert g.weight == oracle.fayers_weight(mp, charges, e)
+
+
+def test_generalized_core_matches_the_move_oracle_exhaustively():
+    # the closed form against elementary moves (two move orders) and the
+    # residue-count weight, on every small closed-domain case
+    last = lambda moves: moves[-1]
+    for mp, charges, e in oracle.closed_domain_grid():
+        g = generalized_core(mp, charges, e)
+        assert g == oracle.generalized_core_by_moves(mp, charges, e)
+        assert g == oracle.generalized_core_by_moves(mp, charges, e, pick=last)
+        assert g.weight == oracle.fayers_weight(mp, charges, e)
 
 
 def test_core_routes_agree_small():

@@ -1,6 +1,6 @@
 """Plain-text rendering of abaci."""
 
-from .partitions import Symbol, beta_set
+from .partitions import Symbol, _as_int, beta_set
 
 
 def render_abacus(symbols, window):
@@ -10,7 +10,7 @@ def render_abacus(symbols, window):
     a header labeling the window ends.  'X' is a bead, '.' an empty
     position; positions increase left to right.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _as_int(window[0]), _as_int(window[1])
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
     lines = [_header(lo, hi)]

@@ -18,13 +18,14 @@ identity.
 
 from .nodes import add_node, i_signature, remove_node
 from .partitions import (
+    _as_int,
+    _as_ints,
+    _charge_tuple,
     as_charges,
     as_multipartition,
-    beta_set,
     check_modulus,
-    partition_of_symbol,
 )
-from .quotients import level_rank_transpose, tau_e_inverse, tau_l
+from .quotients import _relabel, _symbols, _windows, level_rank_transpose
 
 
 def parse_word(word, rank):
@@ -77,19 +78,19 @@ def _letter_right(s, tok, e):
 
 def act_charge_e(word, s, l):
     """Left action on e-tuples with parameter l; letters applied right to left."""
-    s = tuple(int(x) for x in s)
+    s, l = _charge_tuple(s), _as_int(l)
     word = parse_word(word, len(s))
     for tok in reversed(word):
-        s = _letter_left(tok, s, int(l))
+        s = _letter_left(tok, s, l)
     return s
 
 
 def act_charge_l(s, word, e):
     """Right action on l-tuples with parameter e; letters applied left to right."""
-    s = tuple(int(x) for x in s)
+    s, e = _charge_tuple(s), _as_int(e)
     word = parse_word(word, len(s))
     for tok in word:
-        s = _letter_right(s, tok, int(e))
+        s = _letter_right(s, tok, e)
     return s
 
 
@@ -110,8 +111,7 @@ def pair_symbols(X, Y):
     claimed ones cancel, which is what makes the transported action agree
     with the crystal one.
     """
-    X = tuple(int(x) for x in X)
-    Y = tuple(int(y) for y in Y)
+    X, Y = _as_ints(X), _as_ints(Y)
     for seq in (X, Y):
         if any(a >= b for a, b in zip(seq, seq[1:])):
             raise ValueError("symbol entries must be strictly increasing")
@@ -144,18 +144,12 @@ def pair_symbols(X, Y):
 
 def _pair_components(mp, charges, c):
     """Replace components (c-1, c) by their pairing; their charges swap."""
-    a, b = c - 1, c
-    bottom = min(charges[a] - len(mp[a]), charges[b] - len(mp[b]))
-    X = beta_set(mp[a], charges[a], charges[a] - bottom)
-    Y = beta_set(mp[b], charges[b], charges[b] - bottom)
-    Xp, Yp = pair_symbols(X, Y)
-    new_charges = list(charges)
-    new_charges[a] = bottom + len(Xp)
-    new_charges[b] = bottom + len(Yp)
-    new_mp = list(mp)
-    new_mp[a] = partition_of_symbol(Xp, new_charges[a])
-    new_mp[b] = partition_of_symbol(Yp, new_charges[b])
-    return tuple(new_mp), tuple(new_charges)
+    (X, Y), bottom = _windows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
+    pair, pair_charges = _symbols(pair_symbols(X, Y), bottom)
+    return (
+        mp[: c - 1] + pair + mp[c + 1 :],
+        charges[: c - 1] + pair_charges + charges[c + 1 :],
+    )
 
 
 def psi(mp, charges, word, e):
@@ -241,8 +235,8 @@ def duality_transport(i, mp, charges, e):
 
     Carry the multipartition to its transposed e-symbol, pair the runners
     (i-1, i) there (for i = 0: rotate the top runner down with charge +l,
-    pair runners (0, 1), rotate back with charge -l), and return through
-    the inverse maps.
+    pair runners (0, 1), rotate back with charge -l), and relabel the
+    runners back onto the level abacus.
     """
     mp = as_multipartition(mp)
     l = len(mp)
@@ -259,8 +253,7 @@ def duality_transport(i, mp, charges, e):
         rot, rot_s = _pair_components(rot, rot_s, 1)
         mp_e = rot[1:] + (rot[0],)
         s_e = rot_s[1:] + (rot_s[0] - l,)
-    p, m = tau_e_inverse(mp_e, s_e)
-    new_mp, new_charges = tau_l(p, m, e, l)
+    new_mp, new_charges = _symbols(*_relabel(mp_e, s_e, e, l, "rank", "level"))
     if new_charges != charges:
         raise RuntimeError("duality transport changed the level charges")
     return new_mp

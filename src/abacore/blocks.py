@@ -14,23 +14,24 @@ from typing import NamedTuple
 from .actions import act_charge_e
 from .nodes import boundary_nodes, e_tilde
 from .partitions import (
+    _as_int,
+    _as_ints,
+    _charge_tuple,
     as_charges,
     as_multipartition,
     check_modulus,
     mp_size,
     multipartitions_of,
-    partition_of_symbol,
 )
 from .quotients import (
+    _relabel,
     _require_domain,
-    _rotate,
+    _symbols,
     _transpose_weight,
     generalized_core,
     in_closed_domain,
-    tau_e,
     tau_e_inverse,
     tau_l,
-    tau_l_inverse,
 )
 
 
@@ -59,7 +60,7 @@ def block_id(mp, charges, e):
     charges = as_charges(charges, l)
     e = check_modulus(e)
     _require_domain(charges, e)
-    runners, rbottom = _rotate(mp, charges, e)
+    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
     s_e = tuple(rbottom + len(r) for r in runners)
     return BlockId(s_e, _transpose_weight(runners, rbottom), e, l, sum(charges))
 
@@ -70,7 +71,8 @@ def blocks_of(n, charges, e):
     Returns a dict from BlockId to the sorted tuple of members, with the
     blocks ordered by (weight, core charge tuple).
     """
-    charges = tuple(int(x) for x in charges)
+    n = _as_int(n, 0, "the size n must be nonnegative")
+    charges = _charge_tuple(charges)
     l = len(charges)
     groups = {}
     for mp in multipartitions_of(n, l):
@@ -87,9 +89,9 @@ def uglov_set(charges, e, n):
     Layered construction: the empty multipartition at size zero, then every
     image of a layer under the node-adding crystal operators.
     """
-    charges = tuple(int(x) for x in charges)
+    charges = _charge_tuple(charges)
     e = check_modulus(e)
-    n = int(n)
+    n = _as_int(n, 0, "the size n must be nonnegative")
     if n == 0:
         return frozenset({((),) * len(charges)})
     out = set()
@@ -113,11 +115,9 @@ def is_scopes(b, i, l):
     readings of the adjustment fail against the brute-force path; w + 1 is
     what it confirms, and it does not depend on the level.)
     """
-    e = b.e
+    s, w, e = _check_block(b, l)
     if not 0 <= i < e:
         raise ValueError("residue out of range")
-    s = b.core_multicharge
-    w = b.weight
     if i == 0:
         return s[0] - s[e - 1] >= w + 1
     return s[i] - s[i - 1] >= w
@@ -131,11 +131,9 @@ def is_scopes_exhaustive(b, i, l):
     on the underlying charged partition, which carries the same addable
     residues as its level-l counterpart.
     """
-    e = b.e
+    s_e, w, e = _check_block(b, l)
     if not 0 <= i < e:
         raise ValueError("residue out of range")
-    s_e = b.core_multicharge
-    w = b.weight
     core_p, core_m = tau_e_inverse(((),) * e, s_e)
     core_size = mp_size(tau_l(core_p, core_m, e, l)[0])
     for quotient in multipartitions_of(w, e):
@@ -148,33 +146,46 @@ def is_scopes_exhaustive(b, i, l):
     return True
 
 
+def _check_block(b, l):
+    """Core charges (anywhere, not only in the domain), weight and modulus
+    of a block label used at level l."""
+    e = check_modulus(b.e)
+    s = as_charges(b.core_multicharge, e)
+    w = _as_int(b.weight, 0, "the block weight must be nonnegative")
+    if b.m != sum(s):
+        raise ValueError("the block charge m must be the sum of its core charges")
+    if b.l != l:
+        raise ValueError("context mismatch")
+    return s, w, e
+
+
 def block_action(word, b, l):
     """Act on the block label through the core charges; the weight rides along."""
-    s = act_charge_e(word, b.core_multicharge, l)
-    return BlockId(s, b.weight, b.e, l, sum(s))
+    s, w, e = _check_block(b, l)
+    s = act_charge_e(word, s, l)
+    return BlockId(s, w, e, l, sum(s))
 
 
 def level_multicharge(s_e, e, l):
     """The level-l charge tuple attached to an e-core charge tuple.
 
-    Computed by carrying the core with that label through the level-l
-    decomposition of its underlying partition.  Constant on orbits of the
-    index-preserving generators, and separates them.
+    The level charges of the core with runner charges s_e: component j
+    fills runner c below (s_e[c] + j) // l (see generalized_core).
+    Constant on orbits of the index-preserving generators, and separates
+    them.
     """
-    p, m = tau_e_inverse(((),) * e, tuple(int(x) for x in s_e))
-    return tau_l(p, m, e, l)[1]
+    s_e = as_charges(s_e, check_modulus(e))
+    l = _as_int(l, 1, "the level l must be at least 1")
+    return tuple(sum((s + j) // l for s in s_e) for j in range(l))
 
 
 def orbit_equivalent(b1, b2, l):
     """Whether two block labels lie in one orbit of the sigma generators."""
-    if (b1.e, b1.l, b1.m) != (b2.e, b2.l, b2.m) or b1.l != l:
+    if (b1.e, b1.l, b1.m) != (b2.e, b2.l, b2.m):
         raise ValueError("context mismatch")
-    if b1.weight != b2.weight:
-        return False
-    e = b1.e
-    return level_multicharge(b1.core_multicharge, e, l) == level_multicharge(
-        b2.core_multicharge, e, l
-    )
+    s1, w1, e = _check_block(b1, l)
+    s2, w2, _ = _check_block(b2, l)
+    return w1 == w2 and level_multicharge(s1, e, l) == level_multicharge(s2, e, l)
 
 
 def realize_multicharge(start, target, e):
@@ -191,16 +202,16 @@ def realize_multicharge(start, target, e):
     that strictly decreasing distance.  The post-condition is re-checked
     through generalized_core before returning.
     """
-    start = tuple(int(x) for x in start)
+    start = _charge_tuple(start)
     l = len(start)
-    target = tuple(int(x) for x in target)
+    target = _as_ints(target)
     e = check_modulus(e)
     _require_domain(start, e)
     if len(target) != l or sum(target) != sum(start) or not in_closed_domain(target, e):
         raise ValueError("unreachable multicharge")
 
-    core_p, m = tau_l_inverse(((),) * l, target, e)
-    runner_charges = tau_e(core_p, m, e)[1]
+    runners, rbottom = _relabel(((),) * l, target, e, l, "level", "rank")
+    runner_charges = tuple(rbottom + len(r) for r in runners)
     bottom = e * min((0,) + runner_charges + start)
     need = [t - l * (bottom // e) for t in runner_charges]
     buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]
@@ -232,10 +243,7 @@ def realize_multicharge(start, target, e):
         counts[cp] += 1
         assert sum(abs(a - b) for a, b in zip(counts, need)) == gap - 2
 
-    witness = tuple(
-        partition_of_symbol(tuple(sorted(buckets[l - 1 - j])), start[j])
-        for j in range(l)
-    )
+    witness = _symbols(buckets[::-1], bottom)[0]
     if generalized_core(witness, start, e).core_charges != target:
         raise RuntimeError("realized witness misses the target multicharge")
     return witness
@@ -243,10 +251,10 @@ def realize_multicharge(start, target, e):
 
 def reachable_multicharges(start, e, bound):
     """Core charge tuples of every multipartition of size at most `bound`."""
-    start = tuple(int(x) for x in start)
+    start = _charge_tuple(start)
     l = len(start)
     out = set()
-    for n in range(int(bound) + 1):
+    for n in range(_as_int(bound, 0, "the size bound must be nonnegative") + 1):
         for mp in multipartitions_of(n, l):
             out.add(generalized_core(mp, start, e).core_charges)
     return frozenset(out)

@@ -49,7 +49,6 @@ from .quotients import (
     tau_e,
     tau_e_inverse,
     tau_l,
-    tau_l_inverse,
 )
 
 

@@ -17,14 +17,43 @@ Charge bookkeeping that gets used all over the place: if a window's bottom
 position is W and it holds r beads, the charge is W + r.
 """
 
+import operator
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 
+def _as_int(x, least=None, message=None):
+    """x as an exact int, never truncated: bools and non-integers such as
+    2.7 are rejected, and so is x < least, with `message`."""
+    if type(x) is not int:
+        if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+            raise ValueError(f"expected an integer, got {x!r}")
+        x = operator.index(x)
+    if least is not None and x < least:
+        raise ValueError(message)
+    return x
+
+
+def _as_ints(xs):
+    """A tuple of exact ints (see _as_int)."""
+    xs = tuple(xs)
+    if not {*map(type, xs)} <= {int}:
+        xs = tuple(map(_as_int, xs))
+    return xs
+
+
+def _charge_tuple(s):
+    """A nonempty tuple of exact ints."""
+    s = _as_ints(s)
+    if not s:
+        raise ValueError("a charge tuple needs at least one entry")
+    return s
+
+
 def as_partition(p):
     """Normalize to a tuple of decreasing positive ints; drop trailing zeros."""
-    p = tuple(int(x) for x in p)
+    p = _as_ints(p)
     while p and p[-1] == 0:
         p = p[:-1]
     if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
@@ -40,17 +69,14 @@ def as_multipartition(mp):
 
 
 def as_charges(charges, l):
-    charges = tuple(int(s) for s in charges)
+    charges = _as_ints(charges)
     if len(charges) != l:
         raise ValueError(f"expected {l} charges, got {len(charges)}")
     return charges
 
 
 def check_modulus(e):
-    e = int(e)
-    if e < 2:
-        raise ValueError("the modulus e must be at least 2")
-    return e
+    return _as_int(e, 2, "the modulus e must be at least 2")
 
 
 def size(p):
@@ -69,7 +95,7 @@ def beta_set(p, m, rows):
     window.
     """
     p = as_partition(p)
-    m, rows = int(m), int(rows)
+    m, rows = _as_int(m), _as_int(rows)
     if rows < len(p):
         raise ValueError("window too small")
     return _beta_window(p, m, rows)
@@ -83,7 +109,7 @@ def _beta_window(p, m, rows):
 
 def partition_of_symbol(betas, m):
     """Inverse of beta_set: the partition encoded by a beta window at charge m."""
-    betas = tuple(int(b) for b in betas)
+    betas, m = _as_ints(betas), _as_int(m)
     if any(a >= b for a, b in zip(betas, betas[1:])):
         raise ValueError("symbol entries must be strictly increasing")
     if betas and betas[0] + len(betas) < m:
@@ -112,7 +138,7 @@ class Symbol(NamedTuple):
 def shift_symbol(s, r):
     """The shifted symbol X[r]: same partition, charge moved by r."""
     s = Symbol(*s)
-    return Symbol(as_partition(s.partition), s.charge + int(r))
+    return Symbol(as_partition(s.partition), _as_int(s.charge) + _as_int(r))
 
 
 def partitions_of(n, max_part=None):

@@ -1,40 +1,45 @@
 """Quotient maps, the level-rank transpose, and generalized cores.
 
-Three decompositions of a charged partition's beta-set drive everything:
+Every bead carries one coordinate triple (c, d, k), with c in 0..e-1, d in
+0..l-1 and k any integer.  Three placements ("views") of the same beads
+give all five maps:
 
-* runner split (tau_e): beta = j + e*k puts value k on runner j; the e
-  runner symbols are the e-quotient, their charges the core multicharge.
-* level split (tau_l): beta = c + e*d + e*l*k, with c in 0..e-1 and d in
-  0..l-1, puts value c + e*k into bucket d; component j of the output reads
-  bucket l-1-j.  Level 1 is the identity.
-* rectangle rotation (level_rank_transpose): a bead at position x on
-  component j of an l-symbol moves to position (l-1-j) + l*(x // e) on
-  runner x % e of an e-symbol.  This is the runner split of the level
-  split's inverse, computed without reassembling the big partition.
+    view        component   position           period
+    partition   0           c + e*d + e*l*k    e*l
+    level       l-1-d       c + e*k            e
+    rank        c           d + l*k            l
 
-The generalized core and its weight are closed forms on that rotation,
-read in one pass over the beads; no elementary move is simulated (the
-move-by-move fixed point is the test oracle generalized_core_by_moves in
-tests/oracle.py).
+tau_e is partition -> rank at l = 1 (the runners are the e-quotient, their
+charges the core multicharge), tau_l is partition -> level (level 1 is the
+identity), tau_e_inverse and tau_l_inverse go back, and
+level_rank_transpose is level -> rank, with no big partition rebuilt.
 
-All windows track beads down to an explicit bottom position; charges are
-recovered as bottom + bead count, which keeps every map exact on finite
-data.  Negative positions use floor division and mathematical mod, so the
-finite windows agree with the infinite trivial tails.
+One kernel, _relabel, runs all five.  It reads every source component down
+to one common bottom, a multiple of the source period below which all
+components are full, and moves each bead with one floor division (its k)
+and one lookup in a residue table cached per (source, target, e, l).
+Charges are recovered as bottom + bead count (_symbols), which keeps every
+map exact on finite data.
+
+The generalized core and its weight are closed forms on the rank view of a
+level symbol, read in one pass over the beads; no elementary move is
+simulated (the move-by-move fixed point is the test oracle
+generalized_core_by_moves in tests/oracle.py).
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import (
+    _as_int,
     _beta_window,
+    _charge_tuple,
     _partition_of_window,
     as_charges,
     as_multipartition,
     as_partition,
-    beta_set,
     check_modulus,
     mp_size,
-    partition_of_symbol,
 )
 
 
@@ -50,32 +55,60 @@ class GeneralizedCore(NamedTuple):
     weight: int
 
 
-def _aligned_rows(min_rows, m, step):
-    """A window height >= min_rows + step whose bottom m - rows is a multiple of step."""
-    rows = min_rows + step
-    rows += (m - rows) % step
-    return rows
+# view: (number of components, period, where the bead (c, d, k=0) sits)
+_VIEWS = {
+    "partition": lambda e, l: (1, e * l, lambda c, d: (0, c + e * d)),
+    "level": lambda e, l: (l, e, lambda c, d: (l - 1 - d, c)),
+    "rank": lambda e, l: (e, l, lambda c, d: (c, d)),
+}
+
+
+@lru_cache(maxsize=256)
+def _residue_table(src, dst, e, l):
+    """The target (component, residue) of each source (component, residue),
+    the source period and the target's components and period."""
+    width, period, place = _VIEWS[src](e, l)
+    dst_width, dst_period, dst_place = _VIEWS[dst](e, l)
+    to = {place(c, d): dst_place(c, d) for c in range(e) for d in range(l)}
+    table = tuple(tuple(to[j, r] for r in range(period)) for j in range(width))
+    return table, period, dst_width, dst_period
+
+
+def _windows(mp, charges, period=1):
+    """Beta windows of validated symbols over one common bottom, a multiple
+    of period below which every component is full."""
+    bottom = min(s - len(p) for p, s in zip(mp, charges))
+    bottom -= bottom % period
+    return [_beta_window(p, s, s - bottom) for p, s in zip(mp, charges)], bottom
+
+
+def _relabel(mp, charges, e, l, src, dst):
+    """Move the beads of validated src-view symbols to the dst view.
+
+    Returns the bead positions of each dst component, in no particular
+    order, and the common dst bottom below which every component is full.
+    """
+    table, period, width, dst_period = _residue_table(src, dst, e, l)
+    windows, bottom = _windows(mp, charges, period)
+    out = [[] for _ in range(width)]
+    for row, window in zip(table, windows):
+        for x in window:
+            j, r = row[x % period]
+            out[j].append(r + dst_period * (x // period))
+    return out, dst_period * (bottom // period)
+
+
+def _symbols(windows, bottom):
+    """(mp, charges) of bead windows that are full below a common bottom."""
+    charges = tuple(bottom + len(w) for w in windows)
+    mp = tuple(_partition_of_window(sorted(w), s) for w, s in zip(windows, charges))
+    return mp, charges
 
 
 def tau_e(p, m, e):
     """Split (p, m) into its e-quotient and e-core multicharge."""
-    p, m, e = as_partition(p), int(m), check_modulus(e)
-    return _tau_e_window(p, m, e, _aligned_rows(len(p), m, e))
-
-
-def _tau_e_window(p, m, e, rows):
-    # rows must satisfy rows >= len(p) and e | (m - rows)
-    bottom = m - rows
-    assert bottom % e == 0
-    q = bottom // e
-    runners = [[] for _ in range(e)]
-    for b in beta_set(p, m, rows):
-        runners[b % e].append((b - b % e) // e)
-    charges = tuple(q + len(r) for r in runners)
-    quotient = tuple(
-        partition_of_symbol(tuple(r), s) for r, s in zip(runners, charges)
-    )
-    return quotient, charges
+    p, m, e = as_partition(p), _as_int(m), check_modulus(e)
+    return _symbols(*_relabel((p,), (m,), e, 1, "partition", "rank"))
 
 
 def tau_e_inverse(quotient, s_e):
@@ -83,17 +116,14 @@ def tau_e_inverse(quotient, s_e):
     quotient = as_multipartition(quotient)
     e = check_modulus(len(quotient))
     s_e = as_charges(s_e, e)
-    bottom = min(s - len(c) for s, c in zip(s_e, quotient))
-    betas = []
-    for j, (c, s) in enumerate(zip(quotient, s_e)):
-        betas.extend(j + e * k for k in beta_set(c, s, s - bottom))
-    m = sum(s_e)
-    return partition_of_symbol(tuple(sorted(betas)), m), m
+    (p,), (m,) = _symbols(*_relabel(quotient, s_e, e, 1, "rank", "partition"))
+    return p, m
 
 
 def e_core_partition(p, e):
     """The partition left after emptying every runner; independent of the charge."""
-    return _flush_partition(tau_e(p, 0, e)[1], int(e))
+    s_e = tau_e(p, 0, e)[1]
+    return tau_e_inverse(((),) * len(s_e), s_e)[0]
 
 
 def core_data(p, m, e):
@@ -104,86 +134,32 @@ def core_data(p, m, e):
 
 def tau_l(p, m, e, l):
     """The level-l splitting of (p, m) into an l-multipartition with charges."""
-    p, m, e, l = as_partition(p), int(m), check_modulus(e), int(l)
-    if l < 1:
-        raise ValueError("the level l must be at least 1")
-    return _tau_l_window(p, m, e, l, _aligned_rows(len(p), m, e * l))
-
-
-def _tau_l_window(p, m, e, l, rows):
-    bottom = m - rows
-    assert bottom % (e * l) == 0
-    vbottom = e * (bottom // (e * l))  # every bucket is full below this value
-    buckets = [[] for _ in range(l)]
-    for b in beta_set(p, m, rows):
-        c = b % e
-        rest = (b - c) // e
-        buckets[rest % l].append(c + e * ((rest - rest % l) // l))
-    charges = tuple(vbottom + len(buckets[l - 1 - j]) for j in range(l))
-    mp = tuple(
-        partition_of_symbol(tuple(sorted(buckets[l - 1 - j])), charges[j])
-        for j in range(l)
-    )
-    return mp, charges
+    p, m, e = as_partition(p), _as_int(m), check_modulus(e)
+    l = _as_int(l, 1, "the level l must be at least 1")
+    return _symbols(*_relabel((p,), (m,), e, l, "partition", "level"))
 
 
 def tau_l_inverse(mp, charges, e):
     """Rebuild (p, m) from a level-l splitting; m = sum(charges)."""
     mp = as_multipartition(mp)
-    l = len(mp)
-    charges = as_charges(charges, l)
+    charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    betas = []
-    for d, values in enumerate(_bucket_windows(mp, charges, e)[0]):
-        for v in values:
-            c = v % e
-            betas.append(c + e * d + e * l * ((v - c) // e))
-    m = sum(charges)
-    return partition_of_symbol(tuple(sorted(betas)), m), m
-
-
-def _bucket_windows(mp, charges, e):
-    """Bead values of each bucket (bucket d = component l-1-d), plus the
-    common value bottom, a multiple of e below which all buckets are full."""
-    l = len(mp)
-    raw = min(s - len(c) for s, c in zip(charges, mp))
-    vbottom = e * (raw // e)  # round down to a multiple of e
-    buckets = []
-    for d in range(l):
-        j = l - 1 - d
-        buckets.append(_beta_window(mp[j], charges[j], charges[j] - vbottom))
-    return buckets, vbottom
+    (p,), (m,) = _symbols(*_relabel(mp, charges, e, len(mp), "level", "partition"))
+    return p, m
 
 
 def level_rank_transpose(mp, charges, e):
     """Rotate the l-abacus into an e-abacus, bead by bead.
 
-    A bead at value v in bucket d goes to runner v % e at position
-    d + l * (v // e).  Agrees with tau_e of tau_l_inverse; implemented
-    directly so the two routes can check each other.
+    A bead at value v on component l-1-d goes to runner v % e at position
+    d + l * (v // e).  Agrees with tau_e of tau_l_inverse; both share the
+    relabel kernel, so the independent check is the plain-definition
+    reference in tests/oracle.py (test_maps_match_the_view_reference).
     """
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    runners, rbottom = _rotate(mp, charges, e)
-    s_e = tuple(rbottom + len(r) for r in runners)
-    mp_e = tuple(_partition_of_window(sorted(r), s) for r, s in zip(runners, s_e))
-    return mp_e, s_e
-
-
-def _rotate(mp, charges, e):
-    """The transpose as raw bead positions: the positions on each e-runner
-    and the bottom below which every runner is full.  Inputs must already
-    be validated."""
-    l = len(mp)
-    buckets, vbottom = _bucket_windows(mp, charges, e)
-    rbottom = l * (vbottom // e)
-    runners = [[] for _ in range(e)]
-    for d, values in enumerate(buckets):
-        for v in values:
-            c = v % e
-            runners[c].append(d + l * ((v - c) // e))
-    return runners, rbottom
+    return _symbols(*_relabel(mp, charges, e, len(mp), "level", "rank"))
 
 
 def _transpose_weight(runners, rbottom):
@@ -193,6 +169,7 @@ def _transpose_weight(runners, rbottom):
 
 def in_closed_domain(charges, e):
     """Weakly increasing charges whose spread is at most e."""
+    charges = _charge_tuple(charges)
     return all(a <= b for a, b in zip(charges, charges[1:])) and (
         charges[-1] - charges[0] <= e
     )
@@ -200,6 +177,7 @@ def in_closed_domain(charges, e):
 
 def in_strict_domain(charges, e):
     """Weakly increasing charges whose spread is strictly less than e."""
+    charges = _charge_tuple(charges)
     return all(a <= b for a, b in zip(charges, charges[1:])) and (
         charges[-1] - charges[0] < e
     )
@@ -230,25 +208,10 @@ def generalized_core(mp, charges, e):
     charges = as_charges(charges, l)
     e = check_modulus(e)
     _require_domain(charges, e)
-    runners, rbottom = _rotate(mp, charges, e)
+    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
     s_e = [rbottom + len(r) for r in runners]
-    heights = [[(s + j) // l for s in s_e] for j in range(l)]
-    return GeneralizedCore(
-        tuple(_flush_partition(h, e) for h in heights),
-        tuple(sum(h) for h in heights),
-        _transpose_weight(runners, rbottom),
-    )
-
-
-def _flush_partition(heights, e):
-    """The partition whose beta-set fills runner c below position heights[c]."""
-    betas = [
-        c + e * k
-        for k in range(min(heights), max(heights))
-        for c in range(e)
-        if k < heights[c]
-    ]
-    return _partition_of_window(betas, sum(heights))
+    core = _symbols(*_relabel(((),) * e, s_e, e, l, "rank", "level"))
+    return GeneralizedCore(*core, _transpose_weight(runners, rbottom))
 
 
 def is_core(mp, charges, e):
@@ -257,8 +220,8 @@ def is_core(mp, charges, e):
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
     _require_domain(charges, e)
-    bottom = min(s - len(c) for s, c in zip(charges, mp))
-    tracked = [set(beta_set(c, s, s - bottom)) for c, s in zip(mp, charges)]
+    windows, bottom = _windows(mp, charges)
+    tracked = [set(w) for w in windows]
     for a, b in zip(tracked, tracked[1:]):
         if not a <= b:
             return False
@@ -280,4 +243,4 @@ def is_core_nodewise(mp, charges, e):
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
     _require_domain(charges, e)
-    return _transpose_weight(*_rotate(mp, charges, e)) == 0
+    return _transpose_weight(*_relabel(mp, charges, e, len(mp), "level", "rank")) == 0

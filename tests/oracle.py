@@ -6,7 +6,9 @@ and not a tautology.  The move-by-move routes replay the definitions the
 library replaced by closed forms: generalized_core_by_moves runs elementary
 operations to their fixed point, sigma_star_by_moves rebuilds the signature
 after every good-node move.  fayers_weight is the abacus-free residue-count
-weight.  Speed does not matter; clarity does.
+weight.  relabel_by_definition places the beads of a symbol in another view
+straight from the (c, d, k) table, without the library's windows or kernel.
+Speed does not matter; clarity does.
 """
 
 from itertools import product
@@ -215,3 +217,65 @@ def fayers_weight(mp, charges, e):
     c = count_nodes_by_residue(mp, charges, e)
     square = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
     return sum(c[s % e] for s in charges) - square // 2
+
+
+def view_position(view, c, d, k, e, l):
+    """Where the bead with coordinates (c, d, k) sits in a view:
+    (component, position)."""
+    return {
+        "partition": (0, c + e * d + e * l * k),
+        "level": (l - 1 - d, c + e * k),
+        "rank": (c, d + l * k),
+    }[view]
+
+
+def view_coordinates(view, j, x, e, l):
+    """The (c, d, k) of the bead at position x on component j of a view."""
+    return {
+        "partition": (x % e, x // e % l, x // (e * l)),
+        "level": (x % e, l - 1 - j, x // e),
+        "rank": (j, x % l, x // l),
+    }[view]
+
+
+VIEW_PERIOD = {
+    "partition": lambda e, l: e * l,
+    "level": lambda e, l: e,
+    "rank": lambda e, l: l,
+}
+
+
+def beads_above(p, m, floor):
+    """The beads of (p, m) at or above floor <= m - len(p): beta_i = p_i - i + m
+    for the rows i = 1 .. m - floor."""
+    return [(p[i - 1] if i <= len(p) else 0) - i + m for i in range(1, m - floor + 1)]
+
+
+def symbol_of_beads(beads, floor):
+    """(partition, charge) of the bead set that holds `beads` at or above
+    floor and every position below it: p_i = beta_i + i - m."""
+    m = floor + len(beads)
+    parts = [b + i - m for i, b in enumerate(sorted(beads, reverse=True), 1)]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts), m
+
+
+def relabel_by_definition(mp, charges, e, l, src, dst):
+    """(mp, charges) of the beads of src-view symbols placed in the dst view.
+
+    Every source component is read from its beta-numbers down to the floor
+    K * period, with K one level below min(s - len(p)), under which every
+    component is full.  So every bead with k < K is present, and the others
+    are read one by one.  In the target, each component is then full below
+    K * its own period.
+    """
+    src_period, dst_period = VIEW_PERIOD[src](e, l), VIEW_PERIOD[dst](e, l)
+    K = min(s - len(p) for p, s in zip(mp, charges)) // src_period - 1
+    placed = [[] for _ in range(e * l // dst_period)]
+    for j, (p, s) in enumerate(zip(mp, charges)):
+        for x in beads_above(p, s, K * src_period):
+            comp, y = view_position(dst, *view_coordinates(src, j, x, e, l), e, l)
+            placed[comp].append(y)
+    symbols = [symbol_of_beads(b, K * dst_period) for b in placed]
+    return tuple(p for p, _ in symbols), tuple(m for _, m in symbols)

@@ -170,14 +170,15 @@ def test_sigma_star_matches_the_move_oracle_exhaustively():
 
 
 def test_transport_checks_the_level_charges(monkeypatch):
-    # the guard on the returned value must survive python -O
-    real_tau_l = abacore.actions.tau_l
+    # the guard on the returned value must survive python -O; the return
+    # path is the one rank -> level relabel, here with its bottom shifted
+    real_relabel = abacore.actions._relabel
 
-    def drifting_tau_l(p, m, e, l):
-        mp, charges = real_tau_l(p, m, e, l)
-        return mp, tuple(c + 1 for c in charges)
+    def drifting_relabel(*args):
+        windows, bottom = real_relabel(*args)
+        return windows, bottom + 1
 
-    monkeypatch.setattr(abacore.actions, "tau_l", drifting_tau_l)
+    monkeypatch.setattr(abacore.actions, "_relabel", drifting_relabel)
     with pytest.raises(RuntimeError):
         duality_transport(1, ((1,), ()), (0, 1), 2)
 
@@ -217,3 +218,11 @@ def test_psi_transports_uglov_sets():
                     src = uglov_set(charges, e, n)
                     image = {psi(mp, charges, word, e)[0] for mp in src}
                     assert image == uglov_set(target, e, n)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: act_charge_e("t", (), 2), lambda: act_charge_l((), "t", 2)]
+)
+def test_charge_actions_reject_empty_tuples(call):
+    with pytest.raises(ValueError):
+        call()

@@ -23,6 +23,8 @@ from abacore import (
     realize_multicharge,
     sigma_ordinary,
     tau_e,
+    tau_e_inverse,
+    tau_l,
     tau_l_inverse,
     uglov_set,
 )
@@ -243,3 +245,55 @@ def test_level_multicharge_is_reflection_invariant():
         for i in range(3):
             img = act_charge_e("s%d" % i, s_e, 2)
             assert level_multicharge(img, 3, 2) == base
+
+
+def test_level_multicharge_matches_the_two_map_route():
+    # the closed form against carrying the core through tau_e_inverse, tau_l
+    for e in (2, 3, 4):
+        for l in (1, 2, 3, 4):
+            for s_e in itertools.product(range(-3, 4), repeat=e):
+                p, m = tau_e_inverse(((),) * e, s_e)
+                assert level_multicharge(s_e, e, l) == tau_l(p, m, e, l)[1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: uglov_set((0, 1), 2, -2),
+        lambda: blocks_of(-1, (0, 1), 2),
+        lambda: reachable_multicharges((0, 1), 2, -1),
+    ],
+)
+def test_negative_sizes_are_rejected(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
+BAD_BLOCKS = [
+    BlockId((0, 1, 2), -5, 3, 2, 3),  # negative weight
+    BlockId((0, 1, 1, -1), 1, 1, 2, 1),  # modulus below 2
+    BlockId((0, 1, 1), 1, 4, 2, 2),  # e = 4 but three core charges
+    BlockId((0, 1, 1, -1), 1, 4, 2, 5),  # m is not the core charge sum
+    BlockId((0, 1, 1, -1), 1, 4, 3, 1),  # labelled at level 3, used at 2
+]
+
+
+@pytest.mark.parametrize("b", BAD_BLOCKS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: is_scopes(b, 1, 2),
+        lambda b: is_scopes_exhaustive(b, 1, 2),
+        lambda b: block_action("t", b, 2),
+        lambda b: orbit_equivalent(b, b, 2),
+    ],
+)
+def test_inconsistent_block_labels_are_rejected(call, b):
+    with pytest.raises(ValueError):
+        call(b)
+
+
+def test_block_labels_may_leave_the_domain():
+    b = BlockId((5, -3, 0, 0), 0, 4, 2, 2)
+    assert is_scopes(b, 1, 2) is False
+    assert block_action("s1", b, 2) == BlockId((-3, 5, 0, 0), 0, 4, 2, 2)

@@ -218,3 +218,17 @@ def test_malformed_partition_values(bad):
     r = run("quotient", "--e", "3", "--m", "0", "--partition", bad)
     assert r.returncode in (1, 2)
     assert r.returncode != 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("uglov-set", "--charges", "0,1", "--e", "2", "--n", "-2"),
+        ("blocks", "--n", "-1", "--e", "2", "--charges", "0"),
+        ("reachable", "--start", "0,0", "--e", "3", "--bound", "-1"),
+    ],
+)
+def test_negative_sizes_exit_2(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert "nonnegative" in r.stdout and "Traceback" not in r.stderr

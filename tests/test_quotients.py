@@ -134,6 +134,41 @@ def test_transpose_agrees_with_composite_route(data):
     assert level_rank_transpose(mp, charges, e) == tau_e(p, m, e)
 
 
+def _one(symbols):
+    """(p, m) of a partition-view (mp, charges) pair."""
+    (p,), (m,) = symbols
+    return p, m
+
+
+def test_maps_match_the_view_reference():
+    # the five maps share one kernel, so the independent route is the
+    # reference that places each beta-number by the (c, d, k) table
+    ref = oracle.relabel_by_definition
+    for n in range(9):
+        for p in partitions_of(n):
+            for m in range(-3, 4):
+                for e in (2, 3, 4):
+                    quotient, s_e = ref((p,), (m,), e, 1, "partition", "rank")
+                    assert tau_e(p, m, e) == (quotient, s_e)
+                    assert tau_e_inverse(quotient, s_e) == _one(
+                        ref(quotient, s_e, e, 1, "rank", "partition")
+                    )
+                    for l in (1, 2, 3):
+                        mp, charges = ref((p,), (m,), e, l, "partition", "level")
+                        assert tau_l(p, m, e, l) == (mp, charges)
+                        assert tau_l_inverse(mp, charges, e) == _one(
+                            ref(mp, charges, e, l, "level", "partition")
+                        )
+    for mp, charges, e in oracle.closed_domain_grid():
+        l = len(mp)
+        want = _one(ref(mp, charges, e, l, "level", "partition"))
+        assert tau_l_inverse(mp, charges, e) == want
+        mp_e, s_e = ref(mp, charges, e, l, "level", "rank")
+        assert level_rank_transpose(mp, charges, e) == (mp_e, s_e)
+        want = _one(ref(mp_e, s_e, e, 1, "rank", "partition"))
+        assert tau_e_inverse(mp_e, s_e) == want
+
+
 @given(partition, st.integers(-3, 3), st.integers(2, 4), st.integers(1, 3))
 def test_size_identity(p, m, e, l):
     # |p| splits into the empty-quotient part of the level charges, the
@@ -224,3 +259,32 @@ def test_modulus_validation():
         tau_e((2, 1), 0, 1)
     with pytest.raises(ValueError):
         tau_l((2, 1), 0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tau_e((2.7, 1), 0, 3),
+        lambda: generalized_core(((2,), (1,)), (0, 1.9), 3),
+        lambda: level_rank_transpose(((2,), (1,)), (0, 1), 3.5),
+        lambda: tau_e((2, 1), True, 3),
+        lambda: tau_l((2, 1), 0, 3, True),
+        lambda: tau_e_inverse(((True,), ()), (0, 0)),
+    ],
+)
+def test_non_integers_are_rejected_not_truncated(call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
+def test_range_messages_are_kept():
+    with pytest.raises(ValueError, match="^the modulus e must be at least 2$"):
+        tau_e((2, 1), 0, 1)
+    with pytest.raises(ValueError, match="^the level l must be at least 1$"):
+        tau_l((2, 1), 0, 2, 0)
+
+
+@pytest.mark.parametrize("predicate", [in_closed_domain, in_strict_domain])
+def test_domain_predicates_reject_empty_charges(predicate):
+    with pytest.raises(ValueError):
+        predicate((), 2)

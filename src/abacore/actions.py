@@ -21,6 +21,7 @@ from .partitions import (
     _as_int,
     _as_ints,
     _charge_tuple,
+    _check_residue,
     as_charges,
     as_multipartition,
     check_modulus,
@@ -185,8 +186,7 @@ def sigma_ordinary(i, mp, charges, e):
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    if not 0 <= i < e:
-        raise ValueError("residue out of range")
+    i = _check_residue(i, e)
     out = []
     for c, p in enumerate(mp):
         rows = list(p) + [0]
@@ -242,8 +242,7 @@ def duality_transport(i, mp, charges, e):
     l = len(mp)
     charges = as_charges(charges, l)
     e = check_modulus(e)
-    if not 0 <= i < e:
-        raise ValueError("residue out of range")
+    i = _check_residue(i, e)
     mp_e, s_e = level_rank_transpose(mp, charges, e)
     if i >= 1:
         mp_e, s_e = _pair_components(mp_e, s_e, i)

@@ -17,6 +17,7 @@ from .partitions import (
     _as_int,
     _as_ints,
     _charge_tuple,
+    _check_residue,
     as_charges,
     as_multipartition,
     check_modulus,
@@ -116,8 +117,7 @@ def is_scopes(b, i, l):
     what it confirms, and it does not depend on the level.)
     """
     s, w, e = _check_block(b, l)
-    if not 0 <= i < e:
-        raise ValueError("residue out of range")
+    i = _check_residue(i, e)
     if i == 0:
         return s[0] - s[e - 1] >= w + 1
     return s[i] - s[i - 1] >= w
@@ -132,8 +132,7 @@ def is_scopes_exhaustive(b, i, l):
     residues as its level-l counterpart.
     """
     s_e, w, e = _check_block(b, l)
-    if not 0 <= i < e:
-        raise ValueError("residue out of range")
+    i = _check_residue(i, e)
     core_p, core_m = tau_e_inverse(((),) * e, s_e)
     core_size = mp_size(tau_l(core_p, core_m, e, l)[0])
     for quotient in multipartitions_of(w, e):

@@ -11,6 +11,11 @@ Value syntax on the command line: partitions are comma-separated parts
 comma-separated integers, group words are space-separated tokens
 ("s1 t T").  Tokens starting with a minus sign are accepted as flag values
 without escaping.
+
+The subcommands are rows of one table, ``_COMMANDS``.  A call whose first
+argument is a subcommand name builds only that subcommand's parser, once
+per process, and reuses it; anything else (no arguments, ``--help``, an
+unknown command) builds the parser with all of them, also once.
 """
 
 import argparse
@@ -18,6 +23,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 from .abacus import render_abacus
 from .actions import (
@@ -348,214 +354,102 @@ def _cmd_reachable(a):
     return payload, "\n".join(lines)
 
 
-def _build_parser():
+def _flag(name, **kwargs):
+    return name, kwargs
+
+
+_f_e = _flag("--e", type=int, required=True, help="modulus (at least 2)")
+_f_l = _flag("--l", type=int, required=True, help="level")
+_f_m = _flag("--m", type=int, default=0, help="charge of the partition (default 0)")
+_f_i = _flag("--i", type=int, required=True, help="residue")
+_f_n = _flag("--n", type=int, required=True, help="total size")
+_f_partition = _flag("--partition", required=True, help="partition, e.g. 6,3,2,1,1")
+_f_mp = _flag("--mp", required=True, help="multipartition, e.g. 3,1|2,1")
+_f_charges = _flag("--charges", required=True, help="charge tuple, e.g. 0,-1,1")
+_f_word = _flag("--word", required=True, help="group word, e.g. 's1 t T'")
+_f_weight = _flag("--weight", type=int, default=0, help="block weight (default 0)")
+_f_core = _flag("--core", required=True, help="core charge tuple")
+_f_start = _flag("--start", required=True, help="starting charge tuple")
+
+# One (name, handler, help text, flags) row per subcommand, in --help order.
+_COMMANDS = (
+    ("core", _cmd_core, "e-core data of a charged partition", (_f_partition, _f_m, _f_e)),
+    ("quotient", _cmd_quotient, "e-quotient and core charges of a charged partition",
+     (_f_partition, _f_m, _f_e)),
+    ("uglov", _cmd_uglov, "level-l decomposition of a charged partition",
+     (_f_partition, _f_m, _f_e, _f_l)),
+    ("from-quotient", _cmd_from_quotient,
+     "rebuild the charged partition from an e-quotient and core charges",
+     (_flag("--quotient", required=True, help="e-quotient, e.g. 2,1|2|2,1,1"), _f_charges)),
+    ("transpose", _cmd_transpose, "level-rank transpose of a charged multipartition",
+     (_f_mp, _f_charges, _f_e)),
+    ("gencore", _cmd_gencore, "generalized e-core, core charges and weight",
+     (_f_mp, _f_charges, _f_e)),
+    ("weight", _cmd_weight, "generalized-core weight", (_f_mp, _f_charges, _f_e)),
+    ("iscore", _cmd_iscore, "test whether the multipartition is a core", (_f_mp, _f_charges, _f_e)),
+    ("nodes", _cmd_nodes, "addable/removable i-nodes, signature and good nodes",
+     (_f_mp, _f_charges, _f_e, _f_i)),
+    ("render", _cmd_render, "draw the abacus of a charged multipartition",
+     (_f_mp, _f_charges,
+      _flag("--window", help="position window lo:hi (default: around the beads)"))),
+    ("act-e", _cmd_act_e, "left action of a group word on an e-charge tuple",
+     (_f_word, _f_charges, _f_l)),
+    ("act-l", _cmd_act_l, "right action of a group word on an l-charge tuple",
+     (_f_word, _f_charges, _f_e)),
+    ("psi", _cmd_psi, "component-level action of a group word on a charged multipartition",
+     (_f_word, _f_mp, _f_charges, _f_e)),
+    ("sigma", _cmd_sigma, "toggle all addable and removable i-nodes",
+     (_f_i, _f_mp, _f_charges, _f_e)),
+    ("star", _cmd_star, "crystal-side involution at residue i", (_f_i, _f_mp, _f_charges, _f_e)),
+    ("duality-check", _cmd_duality_check,
+     "compare the crystal-side involution with its transpose-side transport",
+     (_f_i, _f_mp, _f_charges, _f_e)),
+    ("block", _cmd_block, "block label of a charged multipartition", (_f_mp, _f_charges, _f_e)),
+    ("blocks", _cmd_blocks, "decompose all multipartitions of size n into blocks",
+     (_f_n, _f_charges, _f_e)),
+    ("uglov-set", _cmd_uglov_set, "multipartitions of size n reachable by adding good nodes",
+     (_f_charges, _f_e, _f_n)),
+    ("scopes", _cmd_scopes, "charge-gap test for blocks without addable i-nodes",
+     (_f_core, _f_weight, _f_e, _f_l, _f_i)),
+    ("block-act", _cmd_block_act, "act on a block label by a group word",
+     (_f_word, _f_core, _f_weight, _f_e, _f_l)),
+    ("orbit-eq", _cmd_orbit_eq, "whether two block labels lie in one orbit of the swap generators",
+     (_flag("--core-a", required=True, help="first core charge tuple"),
+      _flag("--core-b", required=True, help="second core charge tuple"),
+      _flag("--weight-a", type=int, default=0, help="first block weight (default 0)"),
+      _flag("--weight-b", type=int, default=0, help="second block weight (default 0)"),
+      _f_e, _f_l)),
+    ("realize", _cmd_realize, "multipartition charged at start whose core charges equal target",
+     (_f_start, _flag("--target", required=True, help="target core charge tuple"), _f_e)),
+    ("reachable", _cmd_reachable, "core charge tuples of all multipartitions up to a size bound",
+     (_f_start, _f_e,
+      _flag("--bound", type=int, required=True, help="largest multipartition size"))),
+)
+_NAMES = frozenset(name for name, *_ in _COMMANDS)
+
+
+@lru_cache(maxsize=None)
+def _build_parser(command=None):
+    """The CLI parser with only `command`'s subparser attached, or with all
+    of them when `command` is None.  Keys are None and the table's names,
+    and argparse does not mutate a parser while parsing, so each of these
+    is built once per process and reused."""
     parser = _Parser(prog="abacore", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    def cmd(name, handler, help_text, *flags):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        for args, kwargs in flags:
-            p.add_argument(*args, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(handler=handler)
-        return p
-
-    def flag(name, **kwargs):
-        return ((name,), kwargs)
-
-    f_e = flag("--e", type=int, required=True, help="modulus (at least 2)")
-    f_l = flag("--l", type=int, required=True, help="level")
-    f_m = flag("--m", type=int, default=0, help="charge of the partition (default 0)")
-    f_i = flag("--i", type=int, required=True, help="residue")
-    f_partition = flag("--partition", required=True, help="partition, e.g. 6,3,2,1,1")
-    f_mp = flag("--mp", required=True, help="multipartition, e.g. 3,1|2,1")
-    f_charges = flag("--charges", required=True, help="charge tuple, e.g. 0,-1,1")
-    f_word = flag("--word", required=True, help="group word, e.g. 's1 t T'")
-    f_weight = flag("--weight", type=int, default=0, help="block weight (default 0)")
-
-    cmd("core", _cmd_core, "e-core data of a charged partition", f_partition, f_m, f_e)
-    cmd(
-        "quotient",
-        _cmd_quotient,
-        "e-quotient and core charges of a charged partition",
-        f_partition,
-        f_m,
-        f_e,
-    )
-    cmd(
-        "uglov",
-        _cmd_uglov,
-        "level-l decomposition of a charged partition",
-        f_partition,
-        f_m,
-        f_e,
-        f_l,
-    )
-    cmd(
-        "from-quotient",
-        _cmd_from_quotient,
-        "rebuild the charged partition from an e-quotient and core charges",
-        flag("--quotient", required=True, help="e-quotient, e.g. 2,1|2|2,1,1"),
-        f_charges,
-    )
-    cmd(
-        "transpose",
-        _cmd_transpose,
-        "level-rank transpose of a charged multipartition",
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "gencore",
-        _cmd_gencore,
-        "generalized e-core, core charges and weight",
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd("weight", _cmd_weight, "generalized-core weight", f_mp, f_charges, f_e)
-    cmd("iscore", _cmd_iscore, "test whether the multipartition is a core", f_mp, f_charges, f_e)
-    cmd(
-        "nodes",
-        _cmd_nodes,
-        "addable/removable i-nodes, signature and good nodes",
-        f_mp,
-        f_charges,
-        f_e,
-        f_i,
-    )
-    cmd(
-        "render",
-        _cmd_render,
-        "draw the abacus of a charged multipartition",
-        f_mp,
-        f_charges,
-        flag("--window", help="position window lo:hi (default: around the beads)"),
-    )
-    cmd(
-        "act-e",
-        _cmd_act_e,
-        "left action of a group word on an e-charge tuple",
-        f_word,
-        f_charges,
-        f_l,
-    )
-    cmd(
-        "act-l",
-        _cmd_act_l,
-        "right action of a group word on an l-charge tuple",
-        f_word,
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "psi",
-        _cmd_psi,
-        "component-level action of a group word on a charged multipartition",
-        f_word,
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "sigma",
-        _cmd_sigma,
-        "toggle all addable and removable i-nodes",
-        f_i,
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "star",
-        _cmd_star,
-        "crystal-side involution at residue i",
-        f_i,
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "duality-check",
-        _cmd_duality_check,
-        "compare the crystal-side involution with its transpose-side transport",
-        f_i,
-        f_mp,
-        f_charges,
-        f_e,
-    )
-    cmd("block", _cmd_block, "block label of a charged multipartition", f_mp, f_charges, f_e)
-    cmd(
-        "blocks",
-        _cmd_blocks,
-        "decompose all multipartitions of size n into blocks",
-        flag("--n", type=int, required=True, help="total size"),
-        f_charges,
-        f_e,
-    )
-    cmd(
-        "uglov-set",
-        _cmd_uglov_set,
-        "multipartitions of size n reachable by adding good nodes",
-        f_charges,
-        f_e,
-        flag("--n", type=int, required=True, help="total size"),
-    )
-    cmd(
-        "scopes",
-        _cmd_scopes,
-        "charge-gap test for blocks without addable i-nodes",
-        flag("--core", required=True, help="core charge tuple"),
-        f_weight,
-        f_e,
-        f_l,
-        f_i,
-    )
-    cmd(
-        "block-act",
-        _cmd_block_act,
-        "act on a block label by a group word",
-        f_word,
-        flag("--core", required=True, help="core charge tuple"),
-        f_weight,
-        f_e,
-        f_l,
-    )
-    cmd(
-        "orbit-eq",
-        _cmd_orbit_eq,
-        "whether two block labels lie in one orbit of the swap generators",
-        flag("--core-a", required=True, help="first core charge tuple"),
-        flag("--core-b", required=True, help="second core charge tuple"),
-        flag("--weight-a", type=int, default=0, help="first block weight (default 0)"),
-        flag("--weight-b", type=int, default=0, help="second block weight (default 0)"),
-        f_e,
-        f_l,
-    )
-    cmd(
-        "realize",
-        _cmd_realize,
-        "multipartition charged at start whose core charges equal target",
-        flag("--start", required=True, help="starting charge tuple"),
-        flag("--target", required=True, help="target core charge tuple"),
-        f_e,
-    )
-    cmd(
-        "reachable",
-        _cmd_reachable,
-        "core charge tuples of all multipartitions up to a size bound",
-        flag("--start", required=True, help="starting charge tuple"),
-        f_e,
-        flag("--bound", type=int, required=True, help="largest multipartition size"),
-    )
+    for name, handler, help_text, flags in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, description=help_text)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--json", action="store_true", help="emit JSON")
+            p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv):
     """Execute one CLI invocation; returns (exit code, output text)."""
     argv = _merge_negative_values([str(t) for t in argv])
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     buf = io.StringIO()
     try:
         with redirect_stdout(buf), redirect_stderr(buf):

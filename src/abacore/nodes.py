@@ -11,7 +11,7 @@ order is what the signature machinery uses everywhere.
 
 from typing import NamedTuple
 
-from .partitions import as_charges, as_multipartition, check_modulus
+from .partitions import _check_residue, as_charges, as_multipartition, check_modulus
 
 
 class Node(NamedTuple):
@@ -53,8 +53,7 @@ def boundary_nodes(mp, charges, e, i):
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    if not 0 <= i < e:
-        raise ValueError("residue out of range")
+    i = _check_residue(i, e)
     add, rem = [], []
     for c, p in enumerate(mp):
         add.extend(n for n in addable_cells(p, c) if residue(n, charges, e) == i)

@@ -79,6 +79,14 @@ def check_modulus(e):
     return _as_int(e, 2, "the modulus e must be at least 2")
 
 
+def _check_residue(i, e):
+    """The residue i as an exact int in 0..e-1."""
+    i = _as_int(i)
+    if not 0 <= i < e:
+        raise ValueError("residue out of range")
+    return i
+
+
 def size(p):
     return sum(p)
 
@@ -160,7 +168,7 @@ def partition_list(n):
 
 def compositions_of(n, k):
     """Weak compositions of n into k parts."""
-    if k == 1:
+    if _as_int(k, 1, "the number of parts k must be at least 1") == 1:
         yield (n,)
         return
     for first in range(n + 1):

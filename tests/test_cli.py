@@ -1,14 +1,18 @@
 """End-to-end runs of the command line front end.
 
 The JSON outputs are pinned byte-for-byte where the schema is part of the
-contract; everything else is parsed and compared structurally.
+contract; everything else is parsed and compared structurally.  The tests
+of the per-subcommand parser cache call ``cli.run`` in process.
 """
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+
+from abacore import cli
 
 SUBCOMMANDS = [
     "core", "quotient", "uglov", "from-quotient", "transpose", "gencore",
@@ -232,3 +236,57 @@ def test_negative_sizes_exit_2(argv):
     r = run(*argv)
     assert r.returncode == 2
     assert "nonnegative" in r.stdout and "Traceback" not in r.stderr
+
+
+def _parsing_call(name):
+    """argv that parses for `name`: every required flag given the value 1."""
+    argv = [name]
+    for row_name, _, _, flags in cli._COMMANDS:
+        if row_name == name:
+            for flag, kwargs in flags:
+                if kwargs.get("required"):
+                    argv += [flag, "1"]
+    return argv
+
+
+def test_top_level_help_lists_the_table_in_order():
+    code, text = cli.run(["--help"])
+    assert code == 0
+    listed = re.findall(r"^    (\S+)", text, re.M)
+    assert listed == [name for name, *_ in cli._COMMANDS] == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_cached_parser_matches_the_full_parser(name, monkeypatch):
+    cases = [[name, "--help"], [name], _parsing_call(name) + ["stray"]]
+    cached = [cli.run(argv) for argv in cases]
+    assert [code for code, _ in cached] == [0, 1, 1]
+    assert cached[1][1].startswith(f"abacore {name}: error: the following arguments are required")
+    assert cached[2][1] == "abacore: error: unrecognized arguments: stray"
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert [cli.run(argv) for argv in cases] == cached
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_cached_parser_keeps_no_state_between_calls(name):
+    argv = _parsing_call(name) + ["--json"]
+    before = cli.run(argv)
+    cli.run(_parsing_call(name) + ["stray"])
+    cli.run([name, "--help"])
+    assert cli.run(argv) == before
+
+
+def test_defaults_do_not_leak_between_calls():
+    argv = ["quotient", "--e", "3", "--partition", "6,3,2,1,1", "--json"]
+    before = cli.run(argv)
+    assert cli.run(argv[:-1] + ["--m", "2", "--json"]) != before
+    assert cli.run(argv) == before
+
+
+def test_a_command_builds_only_its_own_parser():
+    cli._build_parser.cache_clear()
+    assert cli.run(["quotient", "--e", "3", "--partition", "2,1"])[0] == 0
+    assert cli._build_parser.cache_info().currsize == 1
+    assert cli.run(["--help"])[0] == 0
+    assert cli._build_parser.cache_info().currsize == 2

@@ -4,18 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abacore import (
+    BlockId,
     Node,
     add_node,
     addable_cells,
     boundary_nodes,
     content,
     count_nodes_by_residue,
+    duality_transport,
     e_tilde,
     f_tilde,
     i_signature,
+    is_scopes,
+    is_scopes_exhaustive,
     remove_node,
     removable_cells,
     residue,
+    sigma_ordinary,
+    sigma_star,
 )
 from abacore.partitions import partitions_of
 
@@ -70,6 +76,31 @@ def test_boundary_nodes_filter_and_order():
 def test_boundary_nodes_rejects_bad_residue():
     with pytest.raises(ValueError):
         boundary_nodes(((1,),), (0,), 3, 3)
+
+
+BLOCK = BlockId((0, 1, -1), 0, 3, 1, 0)
+RESIDUE_ENTRIES = [
+    lambda i: boundary_nodes(((2, 1),), (0,), 3, i),
+    lambda i: sigma_ordinary(i, ((1,),), (0,), 3),
+    lambda i: sigma_star(i, ((1,),), (0,), 3),
+    lambda i: duality_transport(i, ((1,),), (0,), 3),
+    lambda i: is_scopes(BLOCK, i, 1),
+    lambda i: is_scopes_exhaustive(BLOCK, i, 1),
+]
+
+
+@pytest.mark.parametrize("call", RESIDUE_ENTRIES)
+@pytest.mark.parametrize("i", [1.0, True, 0.5])
+def test_residue_must_be_an_int(call, i):
+    with pytest.raises(ValueError, match="^expected an integer"):
+        call(i)
+
+
+@pytest.mark.parametrize("call", RESIDUE_ENTRIES)
+@pytest.mark.parametrize("i", [-1, 3])
+def test_residue_range_message_is_kept(call, i):
+    with pytest.raises(ValueError, match="^residue out of range$"):
+        call(i)
 
 
 def test_signature_example():

@@ -35,6 +35,12 @@ def test_multipartition_counts():
         assert sum(1 for _ in multipartitions_of(n, 2)) == want
 
 
+@pytest.mark.parametrize("l", [0, -1])
+def test_multipartitions_need_a_component(l):
+    with pytest.raises(ValueError, match="at least 1"):
+        list(multipartitions_of(2, l))
+
+
 def test_as_partition_rejects_junk():
     with pytest.raises(ValueError):
         as_partition((1, 2))

@@ -8,20 +8,18 @@ charges, and orbits of that action are classified by an invariant computed
 on the level-l side.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
-from .actions import act_charge_e
-from .nodes import boundary_nodes, e_tilde
+from .actions import act_charge_e, act_charge_l, psi
 from .partitions import (
     _as_int,
     _as_ints,
+    _beta_window,
     _charge_tuple,
     _check_residue,
     as_charges,
     as_multipartition,
     check_modulus,
-    mp_size,
     multipartitions_of,
 )
 from .quotients import (
@@ -31,8 +29,6 @@ from .quotients import (
     _transpose_weight,
     generalized_core,
     in_closed_domain,
-    tau_e_inverse,
-    tau_l,
 )
 
 
@@ -42,10 +38,6 @@ class BlockId(NamedTuple):
     e: int
     l: int
     m: int
-
-
-def _sort_key(b):
-    return (b.weight, b.core_multicharge)
 
 
 def block_id(mp, charges, e):
@@ -61,6 +53,11 @@ def block_id(mp, charges, e):
     charges = as_charges(charges, l)
     e = check_modulus(e)
     _require_domain(charges, e)
+    return _block_label(mp, charges, e, l)
+
+
+def _block_label(mp, charges, e, l):
+    """block_id of validated closed-domain data."""
     runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
     s_e = tuple(rbottom + len(r) for r in runners)
     return BlockId(s_e, _transpose_weight(runners, rbottom), e, l, sum(charges))
@@ -74,34 +71,59 @@ def blocks_of(n, charges, e):
     """
     n = _as_int(n, 0, "the size n must be nonnegative")
     charges = _charge_tuple(charges)
+    e = check_modulus(e)
+    _require_domain(charges, e)
     l = len(charges)
     groups = {}
     for mp in multipartitions_of(n, l):
-        groups.setdefault(block_id(mp, charges, e), []).append(mp)
+        groups.setdefault(_block_label(mp, charges, e, l), []).append(mp)
     return {
-        b: tuple(sorted(groups[b])) for b in sorted(groups, key=_sort_key)
+        b: tuple(sorted(groups[b]))
+        for b in sorted(groups, key=lambda b: (b.weight, b.core_multicharge))
     }
 
 
-@lru_cache(maxsize=None)
 def uglov_set(charges, e, n):
     """Multipartitions of size n reachable from the empty one by good nodes.
 
-    Layered construction: the empty multipartition at size zero, then every
-    image of a layer under the node-adding crystal operators.
+    At closed-domain charges s these are the FLOTW multipartitions (Foda,
+    Leclerc, Okado, Thibon and Welsh, Adv. Math. 141 (1999); Geck and
+    Jacon (2011), ch. 6), with lam^(j)_r = 0 past the last row:
+    (a) lam^(j)_r >= lam^(j+1)_{r + s_{j+1} - s_j} for j < l - 1 and
+    lam^(l-1)_r >= lam^(0)_{r + e + s_0 - s_{l-1}}, for every r >= 1;
+    (b) for each k > 0 the residues k - r + s_j of the rows r of length k
+    miss some residue mod e.  Other charges are narrowed (the nodes of sizes
+    below n order alike across any gap above 2n, so each such gap shrinks
+    to the least one of its residue mod e), sorted with s_c and lifted with
+    t into the domain (each t cuts their distance to the top by e), and the
+    set there goes back by psi of the inverse word, which commutes with the
+    crystal operators.  Test oracle: uglov_set_by_crystal in tests/oracle.py.
     """
-    charges = _charge_tuple(charges)
+    s = _charge_tuple(charges)
     e = check_modulus(e)
     n = _as_int(n, 0, "the size n must be nonnegative")
-    if n == 0:
-        return frozenset({((),) * len(charges)})
-    out = set()
-    for mp in uglov_set(charges, e, n - 1):
-        for i in range(e):
-            image = e_tilde(i, mp, charges, e)
-            if image is not None:
-                out.add(image)
-    return frozenset(out)
+    order, narrow = sorted(range(len(s)), key=s.__getitem__), list(s)
+    for a, b in zip(order, order[1:]):
+        gap = s[b] - s[a]
+        narrow[b] = narrow[a] + min(gap, 2 * n + 1 + (gap - 2 * n - 1) % e)
+    s, back = tuple(narrow), ()
+    while not in_closed_domain(s, e):
+        c = next((c for c in range(1, len(s)) if s[c - 1] > s[c]), 0)
+        s = act_charge_l(s, ("s%d" % c if c else "t",), e)
+        back = ("s%d" % c if c else "T",) + back
+    members = (mp for mp in multipartitions_of(n, len(s)) if _is_flotw(mp, s, e))
+    return frozenset(psi(mp, s, back, e)[0] for mp in members) if back else frozenset(members)
+
+
+def _is_flotw(mp, s, e):
+    """Conditions (a), then (b), of uglov_set at closed-domain charges s."""
+    for j, (p, q) in enumerate(zip(mp, mp[1:] + mp[:1])):
+        d = s[j + 1] - s[j] if j + 1 < len(mp) else e + s[0] - s[-1]
+        if len(q) - d > len(p) or any(a < b for a, b in zip(p, q[d:])):
+            return False
+    rows = {(k, (k - r + s[j]) % e) for j, p in enumerate(mp) for r, k in enumerate(p, 1)}
+    lengths = [k for k, _ in rows]
+    return all(lengths.count(k) < e for k in lengths)
 
 
 def is_scopes(b, i, l):
@@ -112,9 +134,7 @@ def is_scopes(b, i, l):
     member with an addable i-node raises a runner-(i-1) bead to value v and
     opens a runner-i hole next to it, which costs s_i - s_{i-1} + 1 moves;
     in the wrapped case the hole sits one value above the bead, so one move
-    comes for free and the cost is s_0 - s_{e-1}.  (Both w + e and w + l
-    readings of the adjustment fail against the brute-force path; w + 1 is
-    what it confirms, and it does not depend on the level.)
+    comes for free and the cost is s_0 - s_{e-1}, whatever the level.
     """
     s, w, e = _check_block(b, l)
     i = _check_residue(i, e)
@@ -124,23 +144,23 @@ def is_scopes(b, i, l):
 
 
 def is_scopes_exhaustive(b, i, l):
-    """Brute-force route: check every member of the block for addable i-nodes.
+    """Brute-force route: look for an addable i-node in every member of the block.
 
-    Members are enumerated through their e-quotients (all e-multipartitions
-    of size w at the block's core charges) and the addable-node check runs
-    on the underlying charged partition, which carries the same addable
-    residues as its level-l counterpart.
+    Members come from their e-quotients (size-w e-multipartitions at the
+    core charges) as charged partitions, which have the addable residues of
+    their level-l forms: an addable i-node is a bead x on runner i-1 facing
+    no bead x on runner i (i = 0: x on runner e-1, x+1 on runner 0), both
+    read down to one below the lower flush bottom.  The diagram route is
+    the test oracle is_scopes_by_diagram in tests/oracle.py.
     """
-    s_e, w, e = _check_block(b, l)
+    s, w, e = _check_block(b, l)
     i = _check_residue(i, e)
-    core_p, core_m = tau_e_inverse(((),) * e, s_e)
-    core_size = mp_size(tau_l(core_p, core_m, e, l)[0])
+    a, step = (i - 1, 0) if i else (e - 1, 1)
     for quotient in multipartitions_of(w, e):
-        p, m = tau_e_inverse(quotient, s_e)
-        member = tau_l(p, m, e, l)[0]
-        assert mp_size(member) <= core_size + e * l * w
-        addable, _ = boundary_nodes((p,), (m,), e, i)
-        if addable:
+        p, q = quotient[a], quotient[i]
+        bottom = min(s[a] - len(p), s[i] - len(q)) - 1
+        beads = set(_beta_window(q, s[i], s[i] - bottom))
+        if any(x + step not in beads for x in _beta_window(p, s[a], s[a] - bottom)):
             return False
     return True
 
@@ -209,8 +229,7 @@ def realize_multicharge(start, target, e):
     if len(target) != l or sum(target) != sum(start) or not in_closed_domain(target, e):
         raise ValueError("unreachable multicharge")
 
-    runners, rbottom = _relabel(((),) * l, target, e, l, "level", "rank")
-    runner_charges = tuple(rbottom + len(r) for r in runners)
+    runner_charges = _block_label(((),) * l, target, e, l).core_multicharge
     bottom = e * min((0,) + runner_charges + start)
     need = [t - l * (bottom // e) for t in runner_charges]
     buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]

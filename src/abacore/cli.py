@@ -434,7 +434,7 @@ def _build_parser(command=None):
     of them when `command` is None.  Keys are None and the table's names,
     and argparse does not mutate a parser while parsing, so each of these
     is built once per process and reused."""
-    parser = _Parser(prog="abacore", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="abacore", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, handler, help_text, flags in _COMMANDS:
         if command in (None, name):

@@ -19,7 +19,7 @@ position is W and it holds r beads, the charge is W + r.
 
 import operator
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 
@@ -151,13 +151,16 @@ def shift_symbol(s, r):
 
 def partitions_of(n, max_part=None):
     """Generate the partitions of n, largest first part first."""
-    if max_part is None or max_part > n:
-        max_part = n
+    n = _as_int(n, 0, "the size n must be nonnegative")
+    return _partitions_of(n, n if max_part is None else min(_as_int(max_part), n))
+
+
+def _partitions_of(n, max_part):
     if n == 0:
         yield ()
         return
     for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
+        for rest in _partitions_of(n - first, min(first, n - first)):
             yield (first,) + rest
 
 
@@ -167,13 +170,11 @@ def partition_list(n):
 
 
 def compositions_of(n, k):
-    """Weak compositions of n into k parts."""
-    if _as_int(k, 1, "the number of parts k must be at least 1") == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions_of(n - first, k - 1):
-            yield (first,) + rest
+    """Weak compositions of n into k parts, in lexicographic order."""
+    n = _as_int(n, 0, "the size n must be nonnegative")
+    k = _as_int(k, 1, "the number of parts k must be at least 1")
+    for bars in combinations(range(n + k - 1), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k - 1)))
 
 
 def multipartitions_of(n, l):

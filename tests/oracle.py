@@ -8,6 +8,9 @@ operations to their fixed point, sigma_star_by_moves rebuilds the signature
 after every good-node move.  fayers_weight is the abacus-free residue-count
 weight.  relabel_by_definition places the beads of a symbol in another view
 straight from the (c, d, k) table, without the library's windows or kernel.
+uglov_set_by_crystal builds the Uglov layers with the crystal operators,
+and is_scopes_by_diagram looks for addable nodes on the Young diagrams of
+the block's members.
 Speed does not matter; clarity does.
 """
 
@@ -17,8 +20,10 @@ from abacore import (
     GeneralizedCore,
     add_node,
     count_nodes_by_residue,
+    e_tilde,
     i_signature,
     remove_node,
+    tau_e_inverse,
 )
 from abacore.partitions import beta_set, multipartitions_of, partition_of_symbol
 
@@ -136,6 +141,31 @@ def brute_removable(p):
         if width > below:
             out.append((r, width))
     return out
+
+
+def uglov_set_by_crystal(charges, e, n):
+    """Layers 0..n of the crystal component of the empty multipartition:
+    each layer is every image of the one below under the e_tilde."""
+    layers = [frozenset({((),) * len(charges)})]
+    for _ in range(n):
+        layers.append(frozenset(
+            image
+            for mp in layers[-1]
+            for i in range(e)
+            if (image := e_tilde(i, mp, charges, e)) is not None
+        ))
+    return layers
+
+
+def is_scopes_by_diagram(b, i):
+    """No member of the block has an addable i-node, read on the diagrams:
+    every quotient of size b.weight at the core charges is rebuilt as a
+    charged partition, whose addable cells are checked one by one."""
+    for quotient in multipartitions_of(b.weight, b.e):
+        p, m = tau_e_inverse(quotient, b.core_multicharge)
+        if any((col - row + m) % b.e == i for row, col in brute_addable(p)):
+            return False
+    return True
 
 
 def closed_domain_grid(max_size=5):

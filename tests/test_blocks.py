@@ -112,6 +112,30 @@ def test_uglov_set_printed_example():
     assert uglov_set((0, 1), 4, 4) == UGLOV_4
 
 
+def test_uglov_set_matches_the_crystal_exhaustively():
+    # in and out of the closed domain: outside it, uglov_set goes through psi
+    checked = 0
+    for e in (2, 3, 4):
+        for l in (1, 2, 3):
+            top = 4 if l < 3 else 3
+            for charges in itertools.product(range(-3, 4), repeat=l):
+                layers = oracle.uglov_set_by_crystal(charges, e, top)
+                for n, layer in enumerate(layers):
+                    assert uglov_set(charges, e, n) == layer, (charges, e, n)
+                    checked += 1
+    assert checked == 4956
+
+
+def test_uglov_set_matches_the_crystal_at_wide_charges():
+    # gaps far above 2n are narrowed before the walk into the domain
+    for e in (2, 3):
+        for l in (2, 3):
+            for charges in itertools.product((-11, -1, 0, 3, 14), repeat=l):
+                layers = oracle.uglov_set_by_crystal(charges, e, 4)
+                for n, layer in enumerate(layers):
+                    assert uglov_set(charges, e, n) == layer, (charges, e, n)
+
+
 def test_uglov_members_connect_downward():
     for e in (2, 3):
         for charges in ((0,), (0, 1), (1, 2)):
@@ -195,6 +219,17 @@ def test_scopes_routes_agree_small():
                     )
 
 
+def test_scopes_routes_match_the_diagram_exhaustively():
+    for e in (2, 3, 4):
+        for core in itertools.product(range(-2, 3), repeat=e):
+            for w in range(4):
+                b = BlockId(core, w, e, 1, sum(core))
+                for i in range(e):
+                    want = oracle.is_scopes_by_diagram(b, i)
+                    assert is_scopes_exhaustive(b, i, 1) == want, (b, i)
+                    assert is_scopes(b, i, 1) == want, (b, i)
+
+
 def test_realize_example():
     assert realize_multicharge((0, 0), (-1, 1), 3) == ((), (1,))
 
@@ -267,6 +302,22 @@ def test_level_multicharge_matches_the_two_map_route():
 def test_negative_sizes_are_rejected(call):
     with pytest.raises(ValueError, match="nonnegative"):
         call()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize(
+    "charges, e, message",
+    [
+        ((0, 1), 1, "the modulus e must be at least 2"),
+        ((0, 5), 1, "the modulus e must be at least 2"),  # the modulus is checked first
+        ((0, 5), 2, "charges not in fundamental domain"),
+        ((), 2, "a charge tuple needs at least one entry"),
+    ],
+)
+def test_blocks_of_keeps_its_errors(n, charges, e, message):
+    with pytest.raises(ValueError) as info:
+        blocks_of(n, charges, e)
+    assert str(info.value) == message
 
 
 BAD_BLOCKS = [

@@ -38,6 +38,16 @@ def test_quotient_json_is_pinned():
     )
 
 
+def test_cli_runs_without_docstrings():
+    # -OO strips __doc__, so the parser must not read its text from there
+    r = subprocess.run(
+        [sys.executable, "-OO", "-m", "abacore", "quotient", "--e", "3", "--partition", "2,1"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+
+
 def test_gencore_json_is_pinned():
     r = run("gencore", "--e", "3", "--charges", "0,0", "--mp", "3,1|2,1", "--json")
     assert r.returncode == 0

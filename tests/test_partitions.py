@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abacore import Symbol, beta_set, partition_of_symbol, partitions_of, shift_symbol
-from abacore.partitions import as_partition, mp_size, multipartitions_of, size
+from abacore.partitions import (
+    as_partition,
+    compositions_of,
+    mp_size,
+    multipartitions_of,
+    size,
+)
 
 import oracle
 
@@ -39,6 +45,25 @@ def test_multipartition_counts():
 def test_multipartitions_need_a_component(l):
     with pytest.raises(ValueError, match="at least 1"):
         list(multipartitions_of(2, l))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partitions_of(-3),
+        lambda: multipartitions_of(-1, 2),
+        lambda: compositions_of(-1, 1),
+    ],
+)
+def test_negative_sizes_are_rejected(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(call())
+
+
+@pytest.mark.parametrize("max_part", [2.5, True])
+def test_largest_part_must_be_an_int(max_part):
+    with pytest.raises(ValueError, match="expected an integer"):
+        partitions_of(3, max_part)
 
 
 def test_as_partition_rejects_junk():

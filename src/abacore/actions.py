@@ -14,7 +14,15 @@ sigma_c for 1 <= c <= rank-1 swaps coordinates c-1 and c; sigma_0 is the
 wrapped swap with a +-parameter shift, equal to tau^-1 sigma_1 tau.  At
 rank 1 the group degenerates to the powers of tau and sigma_0 acts as the
 identity.
+
+The two sides are one rule: the left action of a word w with parameter l
+is the right action of w^-1 (the word reversed, t and T swapped) with
+parameter -l.  Likewise the runner-side transport in duality_transport is
+psi with the shift -l, and pair_symbols with |X| > |Y| is the |X| <= |Y|
+case on (-Y, -X), negated back.
 """
+
+from bisect import bisect_right
 
 from .nodes import add_node, i_signature, remove_node
 from .partitions import (
@@ -43,46 +51,26 @@ def parse_word(word, rank):
     return word
 
 
-def _swap(s, c):
-    s = list(s)
-    s[c - 1], s[c] = s[c], s[c - 1]
-    return tuple(s)
-
-
-def _letter_left(tok, s, l):
-    e = len(s)
-    if tok == "t":
-        return (s[-1] + l,) + s[:-1]
-    if tok == "T":
-        return s[1:] + (s[0] - l,)
-    c = int(tok[1:])
-    if c == 0:
-        if e == 1:
-            return s
-        return (s[-1] + l,) + s[1:-1] + (s[0] - l,)
-    return _swap(s, c)
-
-
 def _letter_right(s, tok, e):
-    l = len(s)
     if tok == "t":
         return s[1:] + (s[0] + e,)
     if tok == "T":
         return (s[-1] - e,) + s[:-1]
     c = int(tok[1:])
-    if c == 0:
-        if l == 1:
-            return s
-        return (s[-1] - e,) + s[1:-1] + (s[0] + e,)
-    return _swap(s, c)
+    if c > 0:
+        return s[: c - 1] + (s[c], s[c - 1]) + s[c + 1 :]
+    if len(s) == 1:
+        return s
+    return (s[-1] - e,) + s[1:-1] + (s[0] + e,)
 
 
 def act_charge_e(word, s, l):
-    """Left action on e-tuples with parameter l; letters applied right to left."""
+    """Left action on e-tuples with parameter l: the right action of the
+    inverse word with parameter -l."""
     s, l = _charge_tuple(s), _as_int(l)
     word = parse_word(word, len(s))
     for tok in reversed(word):
-        s = _letter_left(tok, s, l)
+        s = _letter_right(s, {"t": "T", "T": "t"}.get(tok, tok), -l)
     return s
 
 
@@ -101,10 +89,12 @@ def pair_symbols(X, Y):
     With |X| <= |Y|: each x, smallest first, claims the largest remaining
     y <= x, or failing that the largest remaining y.  The unclaimed y's
     migrate into the new X (so |X'| = |Y|), the claimed ones form the new
-    Y.  With |X| > |Y| the mirror rule applies: each y, largest first,
-    claims the smallest remaining x >= y, else the smallest remaining; the
-    unclaimed x's migrate into the new Y.  Applying the procedure twice
-    gives back the input.
+    Y.  With |X| > |Y| the mirror rule applies, the rule above on (-Y, -X)
+    negated back: each y, largest first, claims the smallest remaining
+    x >= y, else the smallest remaining; the unclaimed x's migrate into the
+    new Y.  Applying the procedure twice gives back the input.  The
+    two-branch claiming loop is the test oracle pair_symbols_by_claiming in
+    tests/oracle.py.
 
     Read on beta-sets over a common window bottom, a value only in X is an
     addable node, a value only in Y a removable one, and the migrating
@@ -116,37 +106,27 @@ def pair_symbols(X, Y):
     for seq in (X, Y):
         if any(a >= b for a, b in zip(seq, seq[1:])):
             raise ValueError("symbol entries must be strictly increasing")
-    if len(X) <= len(Y):
-        avail = list(Y)
-        claimed = []
-        for x in X:
-            pick = None
-            for idx in range(len(avail) - 1, -1, -1):
-                if avail[idx] <= x:
-                    pick = idx
-                    break
-            if pick is None:
-                pick = len(avail) - 1
-            claimed.append(avail.pop(pick))
-        return tuple(sorted(list(X) + avail)), tuple(sorted(claimed))
-    avail = list(X)
-    claimed = []
-    for y in reversed(Y):
-        pick = None
-        for idx in range(len(avail)):
-            if avail[idx] >= y:
-                pick = idx
-                break
-        if pick is None:
-            pick = 0
-        claimed.append(avail.pop(pick))
-    return tuple(sorted(claimed)), tuple(sorted(list(Y) + avail))
+    return _pair(X, Y)
+
+
+def _pair(X, Y):
+    """pair_symbols of strictly increasing X and Y."""
+    if len(X) > len(Y):
+        neg_y, neg_x = _pair(_negated(Y), _negated(X))
+        return _negated(neg_x), _negated(neg_y)
+    avail = list(Y)
+    claimed = [avail.pop(bisect_right(avail, x) - 1) for x in X]
+    return tuple(sorted(X + tuple(avail))), tuple(sorted(claimed))
+
+
+def _negated(seq):
+    return tuple(-v for v in reversed(seq))
 
 
 def _pair_components(mp, charges, c):
     """Replace components (c-1, c) by their pairing; their charges swap."""
     (X, Y), bottom = _windows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
-    pair, pair_charges = _symbols(pair_symbols(X, Y), bottom)
+    pair, pair_charges = _symbols(_pair(X, Y), bottom)
     return (
         mp[: c - 1] + pair + mp[c + 1 :],
         charges[: c - 1] + pair_charges + charges[c + 1 :],
@@ -162,48 +142,43 @@ def psi(mp, charges, word, e):
     right action on the input charges.
     """
     mp = as_multipartition(mp)
-    l = len(mp)
-    charges = as_charges(charges, l)
+    charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    word = parse_word(word, l)
+    return _psi(mp, charges, parse_word(word, len(mp)), e)
+
+
+def _psi(mp, charges, word, shift):
+    """psi of validated input; the wrapped charge moves by shift (e on the
+    level side, -l on the runner side)."""
     for tok in word:
         if tok == "t":
             mp = mp[1:] + (mp[0],)
-            charges = charges[1:] + (charges[0] + e,)
+            charges = charges[1:] + (charges[0] + shift,)
         elif tok == "T":
             mp = (mp[-1],) + mp[:-1]
-            charges = (charges[-1] - e,) + charges[:-1]
+            charges = (charges[-1] - shift,) + charges[:-1]
         elif tok == "s0":
-            if l > 1:
-                mp, charges = psi(mp, charges, ("T", "s1", "t"), e)
+            if len(mp) > 1:
+                mp, charges = _psi(mp, charges, ("T", "s1", "t"), shift)
         else:
             mp, charges = _pair_components(mp, charges, int(tok[1:]))
     return mp, charges
 
 
 def sigma_ordinary(i, mp, charges, e):
-    """Toggle every addable and every removable i-node at once."""
+    """Toggle every addable and every removable i-node at once.
+
+    On each component's abacus that swaps positions x and x + 1 for every
+    x = i - 1 (mod e).  With the charges shifted by 1 - i, these pairs start
+    on multiples of e, and so does the common window bottom.
+    """
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
     i = _check_residue(i, e)
-    out = []
-    for c, p in enumerate(mp):
-        rows = list(p) + [0]
-        new_rows = []
-        for a, cur in enumerate(rows, start=1):
-            above = rows[a - 2] if a >= 2 else None
-            below = rows[a] if a < len(rows) else 0
-            length = cur
-            if (above is None or above > cur) and (cur + 1 - a + charges[c]) % e == i:
-                length = cur + 1  # addable i-node in this row
-            elif cur > below and (cur - a + charges[c]) % e == i:
-                length = cur - 1  # removable i-node in this row
-            new_rows.append(length)
-        while new_rows and new_rows[-1] == 0:
-            new_rows.pop()
-        out.append(tuple(new_rows))
-    return as_multipartition(out)
+    step = (1, -1) + (0,) * (e - 2)
+    windows, bottom = _windows(mp, [s + 1 - i for s in charges], e)
+    return _symbols([[y + step[y % e] for y in w] for w in windows], bottom)[0]
 
 
 def sigma_star(i, mp, charges, e):
@@ -233,10 +208,10 @@ def sigma_star(i, mp, charges, e):
 def duality_transport(i, mp, charges, e):
     """sigma_star computed on the other side of the level-rank transpose.
 
-    Carry the multipartition to its transposed e-symbol, pair the runners
-    (i-1, i) there (for i = 0: rotate the top runner down with charge +l,
-    pair runners (0, 1), rotate back with charge -l), and relabel the
-    runners back onto the level abacus.
+    Carry the multipartition to its transposed e-symbol, apply psi of s_i
+    there with the shift -l (so s_0 rotates the top runner down with charge
+    +l, pairs runners (0, 1) and rotates back), and relabel the runners back
+    onto the level abacus.
     """
     mp = as_multipartition(mp)
     l = len(mp)
@@ -244,14 +219,7 @@ def duality_transport(i, mp, charges, e):
     e = check_modulus(e)
     i = _check_residue(i, e)
     mp_e, s_e = level_rank_transpose(mp, charges, e)
-    if i >= 1:
-        mp_e, s_e = _pair_components(mp_e, s_e, i)
-    else:
-        rot = (mp_e[-1],) + mp_e[:-1]
-        rot_s = (s_e[-1] + l,) + s_e[:-1]
-        rot, rot_s = _pair_components(rot, rot_s, 1)
-        mp_e = rot[1:] + (rot[0],)
-        s_e = rot_s[1:] + (rot_s[0] - l,)
+    mp_e, s_e = _psi(mp_e, s_e, ("s%d" % i,), -l)
     new_mp, new_charges = _symbols(*_relabel(mp_e, s_e, e, l, "rank", "level"))
     if new_charges != charges:
         raise RuntimeError("duality transport changed the level charges")

@@ -268,11 +268,16 @@ def realize_multicharge(start, target, e):
 
 
 def reachable_multicharges(start, e, bound):
-    """Core charge tuples of every multipartition of size at most `bound`."""
+    """Core charge tuples of every multipartition of size at most `bound`:
+    the level_multicharge of each distinct block label's runner charges."""
     start = _charge_tuple(start)
+    bound = _as_int(bound, 0, "the size bound must be nonnegative")
+    e = check_modulus(e)
+    _require_domain(start, e)
     l = len(start)
-    out = set()
-    for n in range(_as_int(bound, 0, "the size bound must be nonnegative") + 1):
-        for mp in multipartitions_of(n, l):
-            out.add(generalized_core(mp, start, e).core_charges)
-    return frozenset(out)
+    runner_charges = {
+        _block_label(mp, start, e, l).core_multicharge
+        for n in range(bound + 1)
+        for mp in multipartitions_of(n, l)
+    }
+    return frozenset(level_multicharge(s_e, e, l) for s_e in runner_charges)

@@ -128,14 +128,6 @@ def _merge_negative_values(argv):
     return out
 
 
-def _plist(p):
-    return [int(x) for x in p]
-
-
-def _pmp(mp):
-    return [_plist(c) for c in mp]
-
-
 def _node_json(node):
     if node is None:
         return None
@@ -144,7 +136,7 @@ def _node_json(node):
 
 def _block_json(b):
     return {
-        "core_multicharge": _plist(b.core_multicharge),
+        "core_multicharge": b.core_multicharge,
         "weight": b.weight,
         "e": b.e,
         "l": b.l,
@@ -183,37 +175,37 @@ def _text_lines(payload):
 def _cmd_core(a):
     data = core_data(parse_partition(a.partition), a.m, a.e)
     return {
-        "core_multicharge": _plist(data.core_multicharge),
-        "core_partition": _plist(data.core_partition),
+        "core_multicharge": data.core_multicharge,
+        "core_partition": data.core_partition,
         "weight": data.weight,
     }
 
 
 def _cmd_quotient(a):
     quotient, charges = tau_e(parse_partition(a.partition), a.m, a.e)
-    return {"quotient": _pmp(quotient), "core_multicharge": _plist(charges)}
+    return {"quotient": quotient, "core_multicharge": charges}
 
 
 def _cmd_uglov(a):
     mp, charges = tau_l(parse_partition(a.partition), a.m, a.e, a.l)
-    return {"mp": _pmp(mp), "charges": _plist(charges)}
+    return {"mp": mp, "charges": charges}
 
 
 def _cmd_from_quotient(a):
     p, m = tau_e_inverse(parse_mp(a.quotient), parse_charges(a.charges))
-    return {"partition": _plist(p), "m": m}
+    return {"partition": p, "m": m}
 
 
 def _cmd_transpose(a):
     mp_e, s_e = level_rank_transpose(parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": _pmp(mp_e), "charges": _plist(s_e)}
+    return {"mp": mp_e, "charges": s_e}
 
 
 def _cmd_gencore(a):
     g = generalized_core(parse_mp(a.mp), parse_charges(a.charges), a.e)
     return {
-        "core_mp": _pmp(g.core_mp),
-        "core_charges": _plist(g.core_charges),
+        "core_mp": g.core_mp,
+        "core_charges": g.core_charges,
         "weight": g.weight,
     }
 
@@ -255,26 +247,26 @@ def _cmd_render(a):
 
 
 def _cmd_act_e(a):
-    return {"charges": _plist(act_charge_e(a.word, parse_charges(a.charges), a.l))}
+    return {"charges": act_charge_e(a.word, parse_charges(a.charges), a.l)}
 
 
 def _cmd_act_l(a):
-    return {"charges": _plist(act_charge_l(parse_charges(a.charges), a.word, a.e))}
+    return {"charges": act_charge_l(parse_charges(a.charges), a.word, a.e)}
 
 
 def _cmd_psi(a):
     mp, charges = psi(parse_mp(a.mp), parse_charges(a.charges), a.word, a.e)
-    return {"mp": _pmp(mp), "charges": _plist(charges)}
+    return {"mp": mp, "charges": charges}
 
 
 def _cmd_sigma(a):
     mp = sigma_ordinary(a.i, parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": _pmp(mp)}
+    return {"mp": mp}
 
 
 def _cmd_star(a):
     mp = sigma_star(a.i, parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": _pmp(mp)}
+    return {"mp": mp}
 
 
 def _cmd_duality_check(a):
@@ -282,8 +274,8 @@ def _cmd_duality_check(a):
     star = sigma_star(a.i, mp, charges, a.e)
     transport = duality_transport(a.i, mp, charges, a.e)
     return {
-        "star": _pmp(star),
-        "transport": _pmp(transport),
+        "star": star,
+        "transport": transport,
         "agree": star == transport,
     }
 
@@ -295,7 +287,7 @@ def _cmd_block(a):
 def _cmd_blocks(a):
     decomposition = blocks_of(a.n, parse_charges(a.charges), a.e)
     payload = [
-        {"block": _block_json(b), "members": [_pmp(mp) for mp in members]}
+        {"block": _block_json(b), "members": members}
         for b, members in decomposition.items()
     ]
     lines = []
@@ -308,9 +300,9 @@ def _cmd_blocks(a):
 
 def _cmd_uglov_set(a):
     members = sorted(uglov_set(parse_charges(a.charges), a.e, a.n))
-    payload = {"size": len(members), "members": [_pmp(mp) for mp in members]}
+    payload = {"size": len(members), "members": members}
     lines = [f"size: {len(members)}"]
-    lines.extend(_text_value(_pmp(mp)) for mp in members)
+    lines.extend(map(_text_value, members))
     return payload, "\n".join(lines)
 
 
@@ -340,17 +332,17 @@ def _cmd_realize(a):
     witness = realize_multicharge(start, parse_charges(a.target), a.e)
     g = generalized_core(witness, start, a.e)
     return {
-        "witness": _pmp(witness),
-        "core_charges": _plist(g.core_charges),
+        "witness": witness,
+        "core_charges": g.core_charges,
         "weight": g.weight,
     }
 
 
 def _cmd_reachable(a):
     found = sorted(reachable_multicharges(parse_charges(a.start), a.e, a.bound))
-    payload = {"size": len(found), "charges": [_plist(c) for c in found]}
+    payload = {"size": len(found), "charges": found}
     lines = [f"size: {len(found)}"]
-    lines.extend(_text_value(_plist(c)) for c in found)
+    lines.extend(map(_text_value, found))
     return payload, "\n".join(lines)
 
 

@@ -53,13 +53,20 @@ def boundary_nodes(mp, charges, e, i):
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
     e = check_modulus(e)
-    i = _check_residue(i, e)
-    add, rem = [], []
-    for c, p in enumerate(mp):
-        add.extend(n for n in addable_cells(p, c) if residue(n, charges, e) == i)
-        rem.extend(n for n in removable_cells(p, c) if residue(n, charges, e) == i)
-    key = lambda n: (content(n, charges), -n.comp)
-    return sorted(add, key=key), sorted(rem, key=key)
+    letters = _letters(mp, charges, e, _check_residue(i, e))
+    return [n for x, n in letters if x == "A"], [n for x, n in letters if x == "R"]
+
+
+def _letters(mp, charges, e, i):
+    """The letters of i_signature for validated input, in node order."""
+    letters = [
+        (letter, n)
+        for c, p in enumerate(mp)
+        for letter, cells in (("A", addable_cells(p, c)), ("R", removable_cells(p, c)))
+        for n in cells
+        if residue(n, charges, e) == i
+    ]
+    return sorted(letters, key=lambda x: (content(x[1], charges), -x[1].comp))
 
 
 def count_nodes_by_residue(mp, charges, e):
@@ -110,13 +117,10 @@ class Signature(NamedTuple):
 
 
 def i_signature(mp, charges, e, i):
-    add, rem = boundary_nodes(mp, charges, e, i)
     mp = as_multipartition(mp)
     charges = as_charges(charges, len(mp))
-    letters = sorted(
-        [("A", n) for n in add] + [("R", n) for n in rem],
-        key=lambda x: (content(x[1], charges), -x[1].comp),
-    )
+    e = check_modulus(e)
+    letters = _letters(mp, charges, e, _check_residue(i, e))
     stack = []
     for item in letters:
         if item[0] == "A" and stack and stack[-1][0] == "R":

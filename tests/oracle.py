@@ -10,7 +10,10 @@ weight.  relabel_by_definition places the beads of a symbol in another view
 straight from the (c, d, k) table, without the library's windows or kernel.
 uglov_set_by_crystal builds the Uglov layers with the crystal operators,
 and is_scopes_by_diagram looks for addable nodes on the Young diagrams of
-the block's members.
+the block's members.  pair_symbols_by_claiming runs both claiming rules of
+the pairing, and act_charge_e_by_letters applies each letter of the left
+action by its own formula, where the library reads both mirrored cases
+through a sign.
 Speed does not matter; clarity does.
 """
 
@@ -309,3 +312,58 @@ def relabel_by_definition(mp, charges, e, l, src, dst):
             placed[comp].append(y)
     symbols = [symbol_of_beads(b, K * dst_period) for b in placed]
     return tuple(p for p, _ in symbols), tuple(m for _, m in symbols)
+
+
+def pair_symbols_by_claiming(X, Y):
+    """pair_symbols with both claiming loops written out.
+
+    |X| <= |Y|: each x, smallest first, claims the largest remaining y <= x,
+    else the largest remaining y; the unclaimed y's join X.  |X| > |Y|: each
+    y, largest first, claims the smallest remaining x >= y, else the
+    smallest remaining x; the unclaimed x's join Y.
+    """
+    if len(X) <= len(Y):
+        avail = list(Y)
+        claimed = []
+        for x in X:
+            pick = None
+            for idx in range(len(avail) - 1, -1, -1):
+                if avail[idx] <= x:
+                    pick = idx
+                    break
+            if pick is None:
+                pick = len(avail) - 1
+            claimed.append(avail.pop(pick))
+        return tuple(sorted(list(X) + avail)), tuple(sorted(claimed))
+    avail = list(X)
+    claimed = []
+    for y in reversed(Y):
+        pick = None
+        for idx in range(len(avail)):
+            if avail[idx] >= y:
+                pick = idx
+                break
+        if pick is None:
+            pick = 0
+        claimed.append(avail.pop(pick))
+    return tuple(sorted(claimed)), tuple(sorted(list(Y) + avail))
+
+
+def act_charge_e_by_letters(word, s, l):
+    """The left action on the e-tuple s with parameter l, each letter by its
+    own formula, applied right to left: t takes (s_0, ..., s_{e-1}) to
+    (s_{e-1} + l, s_0, ..., s_{e-2}), T undoes it, s_c swaps s_{c-1} and
+    s_c, and s_0 puts s_{e-1} + l in slot 0 and s_0 - l in slot e-1 (at
+    e = 1 it is the identity)."""
+    s = tuple(s)
+    for tok in reversed(word.split()):
+        if tok == "t":
+            s = (s[-1] + l,) + s[:-1]
+        elif tok == "T":
+            s = s[1:] + (s[0] - l,)
+        elif tok != "s0":
+            c = int(tok[1:])
+            s = s[: c - 1] + (s[c], s[c - 1]) + s[c + 1 :]
+        elif len(s) > 1:
+            s = (s[-1] + l,) + s[1:-1] + (s[0] - l,)
+    return s

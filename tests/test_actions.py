@@ -64,6 +64,15 @@ def test_right_action_composes_left_to_right():
     assert act_charge_l(s, "t s1", 2) == act_charge_l(act_charge_l(s, "t", 2), "s1", 2)
 
 
+def test_left_action_matches_the_letter_oracle_exhaustively():
+    for rank in range(1, 5):
+        tokens = ["t", "T"] + ["s%d" % c for c in range(rank)]
+        for s in itertools.product(range(-3, 4), repeat=rank):
+            for l in (1, 2, 3, 5):
+                for tok in tokens:
+                    assert act_charge_e(tok, s, l) == oracle.act_charge_e_by_letters(tok, s, l)
+
+
 @given(charge_tuple, st.integers(1, 3))
 def test_left_action_relations(s, l):
     e = len(s)
@@ -198,6 +207,14 @@ def test_pair_symbols_involution(X, Y):
     assert len(Xp) == len(Y) and len(Yp) == len(X)
     assert sorted(Xp + Yp) == sorted(X + Y)
     assert pair_symbols(Xp, Yp) == (X, Y)
+
+
+def test_pair_symbols_matches_the_claiming_oracle_exhaustively():
+    # every strictly increasing X, Y within [-4, 4] of at most 5 entries
+    symbols = [c for k in range(6) for c in itertools.combinations(range(-4, 5), k)]
+    for X in symbols:
+        for Y in symbols:
+            assert pair_symbols(X, Y) == oracle.pair_symbols_by_claiming(X, Y)
 
 
 def test_psi_is_charge_equivariant():

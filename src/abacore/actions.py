@@ -17,38 +17,37 @@ identity.
 
 The two sides are one rule: the left action of a word w with parameter l
 is the right action of w^-1 (the word reversed, t and T swapped) with
-parameter -l.  Likewise the runner-side transport in duality_transport is
-psi with the shift -l, and pair_symbols with |X| > |Y| is the |X| <= |Y|
-case on (-Y, -X), negated back.
+parameter -l.  Likewise duality_transport is psi of s_i with the shift -l,
+run on the runner bead lists of the transpose, and pair_symbols with
+|X| > |Y| is the |X| <= |Y| case on (-Y, -X), negated back.  sigma_star
+moves beads of the windows its signature is read from (nodes._letters).
 """
 
 from bisect import bisect_right
 
-from .nodes import add_node, i_signature, remove_node
-from .partitions import (
-    _as_int,
-    _as_ints,
-    _charge_tuple,
-    _check_residue,
-    as_charges,
-    as_multipartition,
-    check_modulus,
-)
-from .quotients import _relabel, _symbols, _windows, level_rank_transpose
+from .nodes import _checked_residue, _letters, _reduce
+from .partitions import _as_int, _as_ints, _charge_tuple, _checked
+from .quotients import _move, _relabel, _symbols, _windows
 
 
 def parse_word(word, rank):
-    """Normalize a group word to a tuple of tokens, checking sigma indices."""
-    if isinstance(word, str):
-        word = word.split()
-    word = tuple(word)
+    """Normalize a group word to a tuple of canonical tokens: "t", "T" and
+    "s%d" for an index of ASCII digits below rank."""
+    try:
+        word = tuple(word.split() if isinstance(word, str) else word)
+    except TypeError:
+        raise ValueError(f"not a group word: {word!r}") from None
+    out = []
     for tok in word:
+        if not isinstance(tok, str):
+            raise ValueError(f"not a group word token: {tok!r}")
         if tok in ("t", "T"):
-            continue
-        if tok.startswith("s") and tok[1:].isdigit() and int(tok[1:]) < rank:
-            continue
-        raise ValueError("rank mismatch")
-    return word
+            out.append(tok)
+        elif tok[:1] == "s" and tok[1:].isascii() and tok[1:].isdigit() and int(tok[1:]) < rank:
+            out.append("s%d" % int(tok[1:]))
+        else:
+            raise ValueError("rank mismatch")
+    return tuple(out)
 
 
 def _letter_right(s, tok, e):
@@ -116,7 +115,7 @@ def _pair(X, Y):
         return _negated(neg_x), _negated(neg_y)
     avail = list(Y)
     claimed = [avail.pop(bisect_right(avail, x) - 1) for x in X]
-    return tuple(sorted(X + tuple(avail))), tuple(sorted(claimed))
+    return tuple(sorted([*X, *avail])), tuple(sorted(claimed))
 
 
 def _negated(seq):
@@ -141,9 +140,7 @@ def psi(mp, charges, word, e):
     conjugation tau^-1 sigma_1 tau.  The output charges always equal the
     right action on the input charges.
     """
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     return _psi(mp, charges, parse_word(word, len(mp)), e)
 
 
@@ -172,10 +169,7 @@ def sigma_ordinary(i, mp, charges, e):
     x = i - 1 (mod e).  With the charges shifted by 1 - i, these pairs start
     on multiples of e, and so does the common window bottom.
     """
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
-    i = _check_residue(i, e)
+    mp, charges, e, i = _checked_residue(mp, charges, e, i)
     step = (1, -1) + (0,) * (e - 2)
     windows, bottom = _windows(mp, [s + 1 - i for s in charges], e)
     return _symbols([[y + step[y % e] for y in w] for w in windows], bottom)[0]
@@ -189,38 +183,50 @@ def sigma_star(i, mp, charges, e):
     other letter and cancellation in place, and adding the good addable
     (rightmost surviving A) works the same way.  So one signature gives all
     moves: remove its first r - a surviving R's, or add its last a - r
-    surviving A's.  The test oracle sigma_star_by_moves in tests/oracle.py
-    rebuilds the signature after every move instead.  Meant for
+    surviving A's, each a bead step on the windows it was read from.  The
+    test oracle sigma_star_by_moves in tests/oracle.py rebuilds the
+    signature from the diagram cells after every move instead.  Meant for
     multipartitions reachable from the empty one by good-node additions;
     there it is an involution and preserves the block weight.
     """
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
-    sig = i_signature(mp, charges, e, i)
-    a = sum(1 for letter, _ in sig.reduced if letter == "A")
-    r = len(sig.reduced) - a
-    for letter, node in sig.reduced[min(a, r) : max(a, r)]:
-        mp = remove_node(mp, node) if letter == "R" else add_node(mp, node)
-    return mp
+    mp, charges, e, i = _checked_residue(mp, charges, e, i)
+    windows, bottom = _windows(mp, charges, below=1)
+    letters = _letters(windows, bottom, e, i)
+    reduced = [letters[k] for k in _reduce(letters)]
+    a = sum(1 for letter in reduced if letter[2] == "A")
+    r = len(reduced) - a
+    if a == r:
+        return mp
+    beads = [set(w) for w in windows]
+    for content, neg, letter, _ in reduced[min(a, r) : max(a, r)]:
+        old, new = (content, content - 1) if letter == "R" else (content - 1, content)
+        beads[-neg].remove(old)
+        beads[-neg].add(new)
+    return _symbols(beads, bottom)[0]
 
 
 def duality_transport(i, mp, charges, e):
     """sigma_star computed on the other side of the level-rank transpose.
 
-    Carry the multipartition to its transposed e-symbol, apply psi of s_i
-    there with the shift -l (so s_0 rotates the top runner down with charge
-    +l, pairs runners (0, 1) and rotates back), and relabel the runners back
-    onto the level abacus.
+    Relabel the level beads onto the runners of the transpose and apply psi
+    of s_i there with the shift -l: pair runners i-1 and i.  For i = 0,
+    s_0 = T s_1 t pairs runner e-1 raised by l with runner 0; as pairing
+    commutes with translation, pair runner e-1 with runner 0 lowered by l
+    instead and raise the second result by l, over a bottom l lower.  Then
+    _move the runners back.  Test oracle: transports_by_transpose in
+    tests/oracle.py.
     """
-    mp = as_multipartition(mp)
+    mp, charges, e, i = _checked_residue(mp, charges, e, i)
     l = len(mp)
-    charges = as_charges(charges, l)
-    e = check_modulus(e)
-    i = _check_residue(i, e)
-    mp_e, s_e = level_rank_transpose(mp, charges, e)
-    mp_e, s_e = _psi(mp_e, s_e, ("s%d" % i,), -l)
-    new_mp, new_charges = _symbols(*_relabel(mp_e, s_e, e, l, "rank", "level"))
+    runners, bottom = _relabel(mp, charges, e, l, "level", "rank")
+    if i:
+        runners[i - 1], runners[i] = _pair(sorted(runners[i - 1]), sorted(runners[i]))
+    else:
+        pad = range(bottom - l, bottom)
+        top, low = _pair([*pad, *sorted(runners[-1])], sorted(x - l for x in runners[0]))
+        runners = [[*pad, *(y + l for y in low)], *([*pad, *r] for r in runners[1:-1]), top]
+        bottom -= l
+    new_mp, new_charges = _symbols(*_move(runners, bottom, e, l, "rank", "level"))
     if new_charges != charges:
         raise RuntimeError("duality transport changed the level charges")
     return new_mp

@@ -1,8 +1,9 @@
 """Blocks of charged multipartitions and the group action on them.
 
 A block is labeled by the charge tuple of the e-core of the underlying
-partition together with the quotient weight; two charged multipartitions
-lie in the same block exactly when those agree.  The extended affine
+partition together with the quotient weight, both read off the rows in
+closed form (quotients._runner_counts); two charged multipartitions lie
+in the same block exactly when those agree.  The extended affine
 symmetric group acts on block labels through its action on the core
 charges, and orbits of that action are classified by an invariant computed
 on the level-l side.
@@ -17,16 +18,16 @@ from .partitions import (
     _beta_window,
     _charge_tuple,
     _check_residue,
+    _checked,
     as_charges,
-    as_multipartition,
     check_modulus,
     multipartitions_of,
 )
 from .quotients import (
-    _relabel,
+    _empty_label,
     _require_domain,
+    _runner_counts,
     _symbols,
-    _transpose_weight,
     generalized_core,
     in_closed_domain,
 )
@@ -45,22 +46,13 @@ def block_id(mp, charges, e):
 
     The label is the e-symbol charge tuple of the e-core of the underlying
     partition, plus the e-quotient size (which equals the generalized core
-    weight).  Both are read off one pass of the level-rank transpose, with
-    no partition built: the runner counts give s_e, the bead sums |mp_e|.
+    weight).  Both are read off the rows by _runner_counts, as the runner
+    charges s_e and the size |mp_e| of the level-rank transpose.
     """
-    mp = as_multipartition(mp)
+    mp, charges, e = _checked(mp, charges, e)
     l = len(mp)
-    charges = as_charges(charges, l)
-    e = check_modulus(e)
     _require_domain(charges, e)
-    return _block_label(mp, charges, e, l)
-
-
-def _block_label(mp, charges, e, l):
-    """block_id of validated closed-domain data."""
-    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
-    s_e = tuple(rbottom + len(r) for r in runners)
-    return BlockId(s_e, _transpose_weight(runners, rbottom), e, l, sum(charges))
+    return BlockId(*_runner_counts(mp, charges, e, l), e, l, sum(charges))
 
 
 def blocks_of(n, charges, e):
@@ -76,10 +68,10 @@ def blocks_of(n, charges, e):
     l = len(charges)
     groups = {}
     for mp in multipartitions_of(n, l):
-        groups.setdefault(_block_label(mp, charges, e, l), []).append(mp)
+        groups.setdefault(_runner_counts(mp, charges, e, l), []).append(mp)
     return {
-        b: tuple(sorted(groups[b]))
-        for b in sorted(groups, key=lambda b: (b.weight, b.core_multicharge))
+        BlockId(s_e, w, e, l, sum(charges)): tuple(sorted(groups[s_e, w]))
+        for s_e, w in sorted(groups, key=lambda key: (key[1], key[0]))
     }
 
 
@@ -217,9 +209,9 @@ def realize_multicharge(start, target, e):
     those of the target core while the bucket counts never change.  Each
     step moves one bead from an overfull runner to an underfull one inside
     a single bucket, choosing the cheapest such move, and drops the count
-    distance to the target by exactly two; termination is asserted through
-    that strictly decreasing distance.  The post-condition is re-checked
-    through generalized_core before returning.
+    distance to the target by exactly two, so the loop ends.  The counts
+    before the loop, each step's drop and the post-condition (through
+    generalized_core) are checked, raising RuntimeError.
     """
     start = _charge_tuple(start)
     l = len(start)
@@ -229,7 +221,7 @@ def realize_multicharge(start, target, e):
     if len(target) != l or sum(target) != sum(start) or not in_closed_domain(target, e):
         raise ValueError("unreachable multicharge")
 
-    runner_charges = _block_label(((),) * l, target, e, l).core_multicharge
+    runner_charges = _empty_label(target, e, l)[0]
     bottom = e * min((0,) + runner_charges + start)
     need = [t - l * (bottom // e) for t in runner_charges]
     buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]
@@ -237,7 +229,8 @@ def realize_multicharge(start, target, e):
     for vals in buckets:
         for v in vals:
             counts[v % e] += 1
-    assert sum(counts) == sum(need) and min(need) >= 0
+    if sum(counts) != sum(need) or min(need) < 0:
+        raise RuntimeError("realize: the runner targets do not fit the buckets")
 
     while counts != need:
         gap = sum(abs(a - b) for a, b in zip(counts, need))
@@ -259,7 +252,8 @@ def realize_multicharge(start, target, e):
         buckets[d].add(add)
         counts[c] -= 1
         counts[cp] += 1
-        assert sum(abs(a - b) for a, b in zip(counts, need)) == gap - 2
+        if sum(abs(a - b) for a, b in zip(counts, need)) != gap - 2:
+            raise RuntimeError("realize: a move missed the target counts")
 
     witness = _symbols(buckets[::-1], bottom)[0]
     if generalized_core(witness, start, e).core_charges != target:
@@ -276,7 +270,7 @@ def reachable_multicharges(start, e, bound):
     _require_domain(start, e)
     l = len(start)
     runner_charges = {
-        _block_label(mp, start, e, l).core_multicharge
+        _runner_counts(mp, start, e, l)[0]
         for n in range(bound + 1)
         for mp in multipartitions_of(n, l)
     }

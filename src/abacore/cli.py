@@ -129,19 +129,7 @@ def _merge_negative_values(argv):
 
 
 def _node_json(node):
-    if node is None:
-        return None
-    return {"row": node.row, "col": node.col, "comp": node.comp}
-
-
-def _block_json(b):
-    return {
-        "core_multicharge": b.core_multicharge,
-        "weight": b.weight,
-        "e": b.e,
-        "l": b.l,
-        "m": b.m,
-    }
+    return None if node is None else node._asdict()
 
 
 def _text_value(v):
@@ -173,12 +161,7 @@ def _text_lines(payload):
 
 
 def _cmd_core(a):
-    data = core_data(parse_partition(a.partition), a.m, a.e)
-    return {
-        "core_multicharge": data.core_multicharge,
-        "core_partition": data.core_partition,
-        "weight": data.weight,
-    }
+    return core_data(parse_partition(a.partition), a.m, a.e)._asdict()
 
 
 def _cmd_quotient(a):
@@ -202,12 +185,7 @@ def _cmd_transpose(a):
 
 
 def _cmd_gencore(a):
-    g = generalized_core(parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {
-        "core_mp": g.core_mp,
-        "core_charges": g.core_charges,
-        "weight": g.weight,
-    }
+    return generalized_core(parse_mp(a.mp), parse_charges(a.charges), a.e)._asdict()
 
 
 def _cmd_weight(a):
@@ -281,13 +259,13 @@ def _cmd_duality_check(a):
 
 
 def _cmd_block(a):
-    return _block_json(block_id(parse_mp(a.mp), parse_charges(a.charges), a.e))
+    return block_id(parse_mp(a.mp), parse_charges(a.charges), a.e)._asdict()
 
 
 def _cmd_blocks(a):
     decomposition = blocks_of(a.n, parse_charges(a.charges), a.e)
     payload = [
-        {"block": _block_json(b), "members": members}
+        {"block": b._asdict(), "members": members}
         for b, members in decomposition.items()
     ]
     lines = []
@@ -318,7 +296,7 @@ def _cmd_scopes(a):
 
 def _cmd_block_act(a):
     b = _mk_block(a.core, a.weight, a.e, a.l)
-    return _block_json(block_action(a.word, b, a.l))
+    return block_action(a.word, b, a.l)._asdict()
 
 
 def _cmd_orbit_eq(a):

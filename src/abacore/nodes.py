@@ -7,11 +7,16 @@ s_c, its residue the content mod e (always normalized into 0..e-1).  Nodes
 are ordered by increasing content, ties broken by decreasing component
 index (at equal content the later component comes first); that single
 order is what the signature machinery uses everywhere.
+
+The signature is read on the level abacus (_letters): an addable i-node
+is a bead below an empty slot, a removable one a bead above an empty slot,
+and Nodes are built only where a public function returns them.
 """
 
 from typing import NamedTuple
 
-from .partitions import _check_residue, as_charges, as_multipartition, check_modulus
+from .partitions import _check_residue, _checked
+from .quotients import _windows
 
 
 class Node(NamedTuple):
@@ -50,30 +55,50 @@ def removable_cells(p, comp=0):
 
 def boundary_nodes(mp, charges, e, i):
     """Addable and removable i-nodes in node order (content up, component down)."""
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
-    letters = _letters(mp, charges, e, _check_residue(i, e))
+    letters = _signature(*_checked_residue(mp, charges, e, i)).letters
     return [n for x, n in letters if x == "A"], [n for x, n in letters if x == "R"]
 
 
-def _letters(mp, charges, e, i):
-    """The letters of i_signature for validated input, in node order."""
-    letters = [
-        (letter, n)
-        for c, p in enumerate(mp)
-        for letter, cells in (("A", addable_cells(p, c)), ("R", removable_cells(p, c)))
-        for n in cells
-        if residue(n, charges, e) == i
-    ]
-    return sorted(letters, key=lambda x: (content(x[1], charges), -x[1].comp))
+def _checked_residue(mp, charges, e, i):
+    """_checked input and a residue i, validated in that order."""
+    mp, charges, e = _checked(mp, charges, e)
+    return mp, charges, e, _check_residue(i, e)
+
+
+def _letters(windows, bottom, e, i):
+    """The i-signature letters (content, -component, letter, row) of bead
+    windows that all hold a bead at bottom and are full below it, in node
+    order.  An addable i-node is a bead b with b + 1 empty and b + 1 = i
+    (mod e), at content b + 1; a removable one a bead b > bottom with b - 1
+    empty and b = i (mod e), at content b; its row counts the beads at or
+    above b.  Test oracle: letters_by_cells in tests/oracle.py.
+    """
+    letters, before = [], (i - 1) % e
+    for c, w in enumerate(windows):
+        beads = set(w)
+        for row, b in zip(range(len(w), 0, -1), w):
+            if b % e == before and b + 1 not in beads:
+                letters.append((b + 1, -c, "A", row))
+            elif b % e == i and b - 1 not in beads and b > bottom:
+                letters.append((b, -c, "R", row))
+    letters.sort()
+    return letters
+
+
+def _reduce(letters):
+    """Positions of the _letters that survive deleting adjacent R, A pairs."""
+    stack = []
+    for k, item in enumerate(letters):
+        if item[2] == "A" and stack and letters[stack[-1]][2] == "R":
+            stack.pop()  # this A cancels the R just before it
+        else:
+            stack.append(k)
+    return stack
 
 
 def count_nodes_by_residue(mp, charges, e):
     """How many diagram cells carry each residue 0..e-1."""
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     counts = [0] * e
     for c, p in enumerate(mp):
         for a, row_len in enumerate(p, start=1):
@@ -117,17 +142,14 @@ class Signature(NamedTuple):
 
 
 def i_signature(mp, charges, e, i):
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
-    letters = _letters(mp, charges, e, _check_residue(i, e))
-    stack = []
-    for item in letters:
-        if item[0] == "A" and stack and stack[-1][0] == "R":
-            stack.pop()  # this A cancels the R just before it
-        else:
-            stack.append(item)
-    return Signature(tuple(letters), tuple(stack))
+    return _signature(*_checked_residue(mp, charges, e, i))
+
+
+def _signature(mp, charges, e, i):
+    """i_signature of validated input; its Nodes are built only here."""
+    letters = _letters(*_windows(mp, charges, below=1), e, i)
+    pairs = [(x, Node(row, b + row - charges[-neg], -neg)) for b, neg, x, row in letters]
+    return Signature(tuple(pairs), tuple(pairs[k] for k in _reduce(letters)))
 
 
 def add_node(mp, node):
@@ -149,11 +171,13 @@ def remove_node(mp, node):
 
 def e_tilde(i, mp, charges, e):
     """Add the good addable i-node; None when the reduced word has no A."""
-    node = i_signature(mp, charges, e, i).good_addable
-    return None if node is None else add_node(as_multipartition(mp), node)
+    mp, charges, e, i = _checked_residue(mp, charges, e, i)
+    node = _signature(mp, charges, e, i).good_addable
+    return None if node is None else add_node(mp, node)
 
 
 def f_tilde(i, mp, charges, e):
     """Remove the good removable i-node; None when the reduced word has no R."""
-    node = i_signature(mp, charges, e, i).good_removable
-    return None if node is None else remove_node(as_multipartition(mp), node)
+    mp, charges, e, i = _checked_residue(mp, charges, e, i)
+    node = _signature(mp, charges, e, i).good_removable
+    return None if node is None else remove_node(mp, node)

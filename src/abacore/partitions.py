@@ -56,7 +56,7 @@ def as_partition(p):
     p = _as_ints(p)
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
+    if any(map(operator.lt, p, p[1:])) or (p and p[-1] < 0):
         raise ValueError(f"not a partition: {p}")
     return p
 
@@ -77,6 +77,12 @@ def as_charges(charges, l):
 
 def check_modulus(e):
     return _as_int(e, 2, "the modulus e must be at least 2")
+
+
+def _checked(mp, charges, e):
+    """A multipartition, its charges and a modulus, validated in that order."""
+    mp = as_multipartition(mp)
+    return mp, as_charges(charges, len(mp)), check_modulus(e)
 
 
 def _check_residue(i, e):
@@ -111,8 +117,8 @@ def beta_set(p, m, rows):
 
 def _beta_window(p, m, rows):
     """beta_set for a validated partition and a window that covers it."""
-    parts = p + (0,) * (rows - len(p))
-    return tuple(parts[i] - (i + 1) + m for i in reversed(range(rows)))
+    top = len(p)
+    return (*range(m - rows, m - top), *map(operator.sub, reversed(p), range(top - m, -m, -1)))
 
 
 def partition_of_symbol(betas, m):
@@ -127,10 +133,8 @@ def partition_of_symbol(betas, m):
 
 def _partition_of_window(betas, m):
     """partition_of_symbol for a strictly increasing window that matches m."""
-    parts = [b + i + 1 - m for i, b in enumerate(reversed(betas))]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
+    parts = (*map(operator.sub, reversed(betas), range(m - 1, m - 1 - len(betas), -1)),)
+    return parts[: len(parts) - parts.count(0)]
 
 
 class Symbol(NamedTuple):
@@ -164,7 +168,7 @@ def _partitions_of(n, max_part):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def partition_list(n):
     return tuple(partitions_of(n))
 

@@ -14,17 +14,19 @@ charges the core multicharge), tau_l is partition -> level (level 1 is the
 identity), tau_e_inverse and tau_l_inverse go back, and
 level_rank_transpose is level -> rank, with no big partition rebuilt.
 
-One kernel, _relabel, runs all five.  It reads every source component down
-to one common bottom, a multiple of the source period below which all
-components are full, and moves each bead with one floor division (its k)
-and one lookup in a residue table cached per (source, target, e, l).
-Charges are recovered as bottom + bead count (_symbols), which keeps every
-map exact on finite data.
+One kernel, _move, runs all five on bead windows over one common bottom,
+a multiple of the source period below which all components are full
+(_windows reads them, and _relabel is the two in a row).  It moves each
+bead with one floor division (its k) and one lookup in a residue table
+cached per (source, target, e, l).  Charges are recovered as bottom + bead
+count (_symbols), which keeps every map exact on finite data.
 
-The generalized core and its weight are closed forms on the rank view of a
-level symbol, read in one pass over the beads; no elementary move is
-simulated (the move-by-move fixed point is the test oracle
-generalized_core_by_moves in tests/oracle.py).
+Block labels, the generalized core's runner charges and its weight are
+closed forms read off the rows (_runner_counts): each row moves one bead
+of the empty symbol, which changes two runner counts of the transpose by
+one and its position sum by a floor-division difference.  No window is
+built and no elementary move is simulated (the move-by-move fixed point
+is the test oracle generalized_core_by_moves in tests/oracle.py).
 """
 
 from functools import lru_cache
@@ -34,6 +36,7 @@ from .partitions import (
     _as_int,
     _beta_window,
     _charge_tuple,
+    _checked,
     _partition_of_window,
     as_charges,
     as_multipartition,
@@ -74,22 +77,23 @@ def _residue_table(src, dst, e, l):
     return table, period, dst_width, dst_period
 
 
-def _windows(mp, charges, period=1):
+def _windows(mp, charges, period=1, below=0):
     """Beta windows of validated symbols over one common bottom, a multiple
-    of period below which every component is full."""
-    bottom = min(s - len(p) for p, s in zip(mp, charges))
+    of period at least `below` under where every component is full."""
+    bottom = min(s - len(p) for p, s in zip(mp, charges)) - below
     bottom -= bottom % period
     return [_beta_window(p, s, s - bottom) for p, s in zip(mp, charges)], bottom
 
 
 def _relabel(mp, charges, e, l, src, dst):
-    """Move the beads of validated src-view symbols to the dst view.
+    """_move of the windows of validated src-view symbols."""
+    return _move(*_windows(mp, charges, _residue_table(src, dst, e, l)[1]), e, l, src, dst)
 
-    Returns the bead positions of each dst component, in no particular
-    order, and the common dst bottom below which every component is full.
-    """
+
+def _move(windows, bottom, e, l, src, dst):
+    """Move src-view windows over a common bottom (a multiple of the src
+    period) to the dst view: unordered beads per component, and the bottom."""
     table, period, width, dst_period = _residue_table(src, dst, e, l)
-    windows, bottom = _windows(mp, charges, period)
     out = [[] for _ in range(width)]
     for row, window in zip(table, windows):
         for x in window:
@@ -141,9 +145,7 @@ def tau_l(p, m, e, l):
 
 def tau_l_inverse(mp, charges, e):
     """Rebuild (p, m) from a level-l splitting; m = sum(charges)."""
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     (p,), (m,) = _symbols(*_relabel(mp, charges, e, len(mp), "level", "partition"))
     return p, m
 
@@ -156,15 +158,48 @@ def level_rank_transpose(mp, charges, e):
     relabel kernel, so the independent check is the plain-definition
     reference in tests/oracle.py (test_maps_match_the_view_reference).
     """
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     return _symbols(*_relabel(mp, charges, e, len(mp), "level", "rank"))
 
 
-def _transpose_weight(runners, rbottom):
-    """|mp_e| of rotated runners: bead sums minus each runner's flush sum."""
-    return sum(sum(r) - len(r) * (2 * rbottom + len(r) - 1) // 2 for r in runners)
+@lru_cache(maxsize=256)
+def _empty_label(charges, e, l):
+    """_runner_counts' tallies for the empty multipartition at charges."""
+    counts, total = [0] * e, 0
+    for j, s in enumerate(charges):
+        q, r = divmod(s, e)
+        total += (l - 1 - j) * s + l * (e * q * (q - 1) // 2 + r * q)
+        for c in range(e):
+            counts[c] -= (c - s) // e
+    return tuple(counts), total
+
+
+def _runner_counts(mp, charges, e, l):
+    """The runner charges s_e and the size |mp_e| of the level-rank
+    transpose of validated symbols, read off their rows.
+
+    Tally beads signed from position 0: a bead at v >= 0 counts +1 and adds
+    its position, a hole at v < 0 counts -1 and subtracts it.  A runner of
+    charge N then counts N, and its sum less N(N-1)/2 (the flush runner's)
+    is the size of its quotient component.  The level bead v = c + e*k of
+    component j sits on runner c at position d + l*k, d = l-1-j, with
+    k >= 0 exactly when v >= 0, so both tallies run on the level abacus.
+    The empty component at charge s holds the beads v < s: -((c - s) // e)
+    on runner c, at positions summing to d*s + l*(e*q*(q-1)/2 + r*q),
+    (q, r) = divmod(s, e) (_empty_label).  Row a, of part p_a, moves one
+    bead from old = s - a to new = old + p_a: runner old % e loses one,
+    new % e gains one, and the sum rises by l*(new // e - old // e).
+    Test oracle: block_label_by_relabel in tests/oracle.py.
+    """
+    counts, total = _empty_label(charges, e, l)
+    counts, rise = list(counts), 0
+    for p, s in zip(mp, charges):
+        for old, part in zip(range(s - 1, s - 1 - len(p), -1), p):
+            new = old + part
+            counts[old % e] -= 1
+            counts[new % e] += 1
+            rise += new // e - old // e
+    return tuple(counts), total + l * rise - sum(n * (n - 1) // 2 for n in counts)
 
 
 def in_closed_domain(charges, e):
@@ -195,30 +230,25 @@ def generalized_core(mp, charges, e):
     free, wrapping from the top component to the bottom one e positions to
     the left) moves one bead one position down its own runner of the
     transpose.  Every order of moves therefore ends at the empty e-quotient
-    at the runner charges s_e after |mp_e| moves: the weight is |mp_e|, from
-    bead sums, and the core is the inverse transpose of the flush runners.
+    at the runner charges s_e after |mp_e| moves (both read off the rows by
+    _runner_counts): the core is the inverse transpose of the flush runners.
     Position x on runner c returns to bucket x % l at value c + e*(x // l),
     so component j (bucket l-1-j) fills runner c of its own abacus below
     (s_e[c] + j) // l, and the core charges are level_multicharge(s_e, e, l).
     The test oracle generalized_core_by_moves in tests/oracle.py simulates
     the moves instead.
     """
-    mp = as_multipartition(mp)
+    mp, charges, e = _checked(mp, charges, e)
     l = len(mp)
-    charges = as_charges(charges, l)
-    e = check_modulus(e)
     _require_domain(charges, e)
-    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
-    s_e = [rbottom + len(r) for r in runners]
+    s_e, weight = _runner_counts(mp, charges, e, l)
     core = _symbols(*_relabel(((),) * e, s_e, e, l, "rank", "level"))
-    return GeneralizedCore(*core, _transpose_weight(runners, rbottom))
+    return GeneralizedCore(*core, weight)
 
 
 def is_core(mp, charges, e):
     """Nested-symbol test: X_0 within X_1 within ... within X_0 shifted by e."""
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     _require_domain(charges, e)
     windows, bottom = _windows(mp, charges)
     tracked = [set(w) for w in windows]
@@ -233,14 +263,13 @@ def is_core_nodewise(mp, charges, e):
 
     An elementary operation on the level abacus is the removal of one
     removable node of the transposed e-partition, so the pair is a core
-    exactly when the transpose has no removable node left, i.e. is empty.
+    exactly when the transpose has no removable node left, i.e. is empty,
+    which _runner_counts reads off the rows.
     The residue form of the test (no residue carries both an addable and a
     removable node of the multipartition itself) follows from this but does
     not imply it: ((3,),) at charge (0,) with e = 2 has addable residue 1
     and removable residue 0 only, yet carries a 2-hook.
     """
-    mp = as_multipartition(mp)
-    charges = as_charges(charges, len(mp))
-    e = check_modulus(e)
+    mp, charges, e = _checked(mp, charges, e)
     _require_domain(charges, e)
-    return _transpose_weight(*_relabel(mp, charges, e, len(mp), "level", "rank")) == 0
+    return _runner_counts(mp, charges, e, len(mp))[1] == 0

@@ -5,7 +5,11 @@ touch beta-numbers, so agreement with the abacus routes is an actual check
 and not a tautology.  The move-by-move routes replay the definitions the
 library replaced by closed forms: generalized_core_by_moves runs elementary
 operations to their fixed point, sigma_star_by_moves rebuilds the signature
-after every good-node move.  fayers_weight is the abacus-free residue-count
+from the diagram cells (letters_by_cells) after every good-node move.
+block_label_by_relabel reads block labels off the bead relabel, and
+transports_by_transpose runs duality_transport through the partitions of
+the transposed e-symbol, the routes the library replaced by row and
+runner-bead kernels.  fayers_weight is the abacus-free residue-count
 weight.  relabel_by_definition places the beads of a symbol in another view
 straight from the (c, d, k) table, without the library's windows or kernel.
 uglov_set_by_crystal builds the Uglov layers with the crystal operators,
@@ -20,15 +24,16 @@ Speed does not matter; clarity does.
 from itertools import product
 
 from abacore import (
+    BlockId,
     GeneralizedCore,
-    add_node,
     count_nodes_by_residue,
     e_tilde,
-    i_signature,
-    remove_node,
+    level_rank_transpose,
     tau_e_inverse,
 )
+from abacore.actions import _psi
 from abacore.partitions import beta_set, multipartitions_of, partition_of_symbol
+from abacore.quotients import _relabel, _symbols
 
 
 def partitions_of(n, max_part=None):
@@ -186,6 +191,28 @@ def closed_domain_grid(max_size=5):
                         yield mp, charges, e
 
 
+def bead_grid(max_e, spread, sizes, closed=False):
+    """Every (mp, charges, e) with 2 <= e <= max_e, l in 1..3, charges in
+    [-spread, spread]^l (only closed-domain ones if closed) and size at most
+    sizes[l - 1]: the grids the bead routes are checked on exhaustively."""
+    for e in range(2, max_e + 1):
+        for l in (1, 2, 3):
+            for charges in product(range(-spread, spread + 1), repeat=l):
+                if closed and (list(charges) != sorted(charges) or charges[-1] - charges[0] > e):
+                    continue
+                for n in range(sizes[l - 1] + 1):
+                    yield from ((mp, charges, e) for mp in multipartitions_of(n, l))
+
+
+# the row closed form of block labels is checked on LABEL_GRID (41074
+# cases); the crystal and the transport on CRYSTAL_GRID in tier-1 and on
+# WIDE_CRYSTAL_GRID (75390 cases once every residue i is taken) in
+# tests/wide_agreement.py
+LABEL_GRID = {"max_e": 5, "spread": 7, "sizes": (5, 5, 3), "closed": True}
+CRYSTAL_GRID = {"max_e": 4, "spread": 1, "sizes": (3, 3, 2)}
+WIDE_CRYSTAL_GRID = {"max_e": 5, "spread": 2, "sizes": (4, 4, 3)}
+
+
 def _elementary_moves(tracked, bottom, e):
     """All currently possible elementary operations (j, x, target, y)."""
     l = len(tracked)
@@ -229,16 +256,76 @@ def generalized_core_by_moves(mp, charges, e, pick=None):
     return GeneralizedCore(core_mp, core_charges, weight)
 
 
+def letters_by_cells(mp, charges, e, i):
+    """The i-signature letters ("A" or "R", (row, col, component)) read off
+    the diagram cells: every addable and removable cell of residue i,
+    sorted by content, ties by decreasing component."""
+    letters = [
+        (letter, (row, col, c))
+        for c, p in enumerate(mp)
+        for letter, found in (("A", brute_addable(p)), ("R", brute_removable(p)))
+        for row, col in found
+        if (col - row + charges[c]) % e == i
+    ]
+    return sorted(letters, key=lambda x: (x[1][1] - x[1][0] + charges[x[1][2]], -x[1][2]))
+
+
+def reduce_letters(letters):
+    """The letters left after repeatedly deleting an R followed by an A."""
+    word = list(letters)
+    k = 0
+    while k + 1 < len(word):
+        if word[k][0] == "R" and word[k + 1][0] == "A":
+            del word[k : k + 2]
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return word
+
+
+def move_node(mp, node, step):
+    """mp with the cell node = (row, col, component) added (step 1) or
+    removed (step -1)."""
+    row, _, c = node
+    p = list(mp[c]) + [0]
+    p[row - 1] += step
+    return mp[:c] + (tuple(x for x in p if x),) + mp[c + 1 :]
+
+
 def sigma_star_by_moves(i, mp, charges, e):
-    """sigma_star one good node at a time, rebuilding the signature each move."""
-    sig = i_signature(mp, charges, e, i)
-    a = sum(1 for letter, _ in sig.reduced if letter == "A")
-    r = len(sig.reduced) - a
+    """sigma_star one good node at a time, rebuilding the signature from the
+    diagram cells after each move."""
+    reduced = reduce_letters(letters_by_cells(mp, charges, e, i))
+    a = sum(1 for letter, _ in reduced if letter == "A")
+    r = len(reduced) - a
     for _ in range(abs(r - a)):
-        sig = i_signature(mp, charges, e, i)
-        node = sig.good_removable if r >= a else sig.good_addable
-        mp = remove_node(mp, node) if r >= a else add_node(mp, node)
+        reduced = reduce_letters(letters_by_cells(mp, charges, e, i))
+        if r > a:
+            mp = move_node(mp, next(n for x, n in reduced if x == "R"), -1)
+        else:
+            mp = move_node(mp, [n for x, n in reduced if x == "A"][-1], 1)
     return mp
+
+
+def block_label_by_relabel(mp, charges, e):
+    """block_id through the bead relabel: the runner charges of the
+    level-rank transpose are its bead counts over the rank bottom, and the
+    weight is its bead sums less those of the flush runners."""
+    l = len(mp)
+    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
+    s_e = tuple(rbottom + len(r) for r in runners)
+    weight = sum(sum(r) - len(r) * (2 * rbottom + len(r) - 1) // 2 for r in runners)
+    return BlockId(s_e, weight, e, l, sum(charges))
+
+
+def transports_by_transpose(mp, charges, e):
+    """duality_transport for every i through the whole transposed e-symbol:
+    psi of s_i with the shift -l on the partitions of the transpose (s_0 as
+    T s_1 t), then the rank -> level relabel back."""
+    l = len(mp)
+    mp_e, s_e = level_rank_transpose(mp, charges, e)
+    images = (_psi(mp_e, s_e, ("s%d" % i,), -l) for i in range(e))
+    return [_symbols(*_relabel(*image, e, l, "rank", "level"))[0] for image in images]
 
 
 def fayers_weight(mp, charges, e):

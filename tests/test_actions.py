@@ -42,6 +42,24 @@ def test_parse_word_rejects_bad_tokens():
         parse_word("u", 2)
 
 
+def test_parse_word_returns_canonical_tokens():
+    assert parse_word("s00 s01 t", 3) == ("s0", "s1", "t")
+    assert psi(((1,), (1,)), (0, 1), "s00", 3) == psi(((1,), (1,)), (0, 1), "s0", 3)
+
+
+@pytest.mark.parametrize("word", [[1], None, "s\u0661", "s\u00b9"])
+def test_parse_word_rejects_non_ascii_and_non_string_tokens(word):
+    # Arabic-Indic one and superscript one pass str.isdigit; ints and None
+    # are not tokens at all
+    with pytest.raises(ValueError):
+        act_charge_l((0, 1), word, 3)
+
+
+def test_parse_word_keeps_the_rank_message():
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        act_charge_l((0, 1), "s\u0661", 3)
+
+
 def test_left_action_examples():
     assert act_charge_e("t", (0, -1, 1), 2) == (3, 0, -1)
     assert act_charge_e("s0", (0, -1, 1), 2) == (3, -1, -2)
@@ -171,23 +189,30 @@ def test_sigma_star_involution_on_uglov_members():
 
 
 def test_sigma_star_matches_the_move_oracle_exhaustively():
-    for mp, charges, e in oracle.closed_domain_grid():
+    grids = oracle.closed_domain_grid(), oracle.bead_grid(**oracle.CRYSTAL_GRID)
+    for mp, charges, e in itertools.chain(*grids):
         for i in range(e):
             assert sigma_star(i, mp, charges, e) == oracle.sigma_star_by_moves(
                 i, mp, charges, e
             )
 
 
+def test_transport_matches_the_transpose_route_exhaustively():
+    for mp, charges, e in oracle.bead_grid(**oracle.CRYSTAL_GRID):
+        for i, want in enumerate(oracle.transports_by_transpose(mp, charges, e)):
+            assert duality_transport(i, mp, charges, e) == want
+
+
 def test_transport_checks_the_level_charges(monkeypatch):
     # the guard on the returned value must survive python -O; the return
-    # path is the one rank -> level relabel, here with its bottom shifted
-    real_relabel = abacore.actions._relabel
+    # path is the one rank -> level _move, here with its bottom shifted
+    real_move = abacore.actions._move
 
-    def drifting_relabel(*args):
-        windows, bottom = real_relabel(*args)
+    def drifting_move(*args):
+        windows, bottom = real_move(*args)
         return windows, bottom + 1
 
-    monkeypatch.setattr(abacore.actions, "_relabel", drifting_relabel)
+    monkeypatch.setattr(abacore.actions, "_move", drifting_move)
     with pytest.raises(RuntimeError):
         duality_transport(1, ((1,), ()), (0, 1), 2)
 

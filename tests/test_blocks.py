@@ -68,6 +68,11 @@ def test_block_id_matches_the_long_route_exhaustively():
         assert core.core_charges == level_multicharge(s_e, e, len(mp))
 
 
+def test_block_label_matches_the_relabel_route_exhaustively():
+    for mp, charges, e in oracle.bead_grid(**oracle.LABEL_GRID):
+        assert block_id(mp, charges, e) == oracle.block_label_by_relabel(mp, charges, e)
+
+
 def test_blocks_of_example():
     got = blocks_of(4, (0, 1), 4)
     assert {
@@ -251,6 +256,19 @@ def test_realize_checks_its_witness(monkeypatch):
 
     monkeypatch.setattr(abacore.blocks, "generalized_core", wrong_core)
     with pytest.raises(RuntimeError):
+        realize_multicharge((0, 0), (-1, 1), 3)
+
+
+def test_realize_checks_its_runner_targets(monkeypatch):
+    # the count check before the move loop must survive python -O
+    real_label = abacore.blocks._empty_label
+
+    def off_by_one(charges, e, l):
+        counts, total = real_label(charges, e, l)
+        return (counts[0] + 1,) + counts[1:], total
+
+    monkeypatch.setattr(abacore.blocks, "_empty_label", off_by_one)
+    with pytest.raises(RuntimeError, match="runner targets"):
         realize_multicharge((0, 0), (-1, 1), 3)
 
 

@@ -114,6 +114,15 @@ def test_signature_example():
     assert rem == [Node(1, 2, 1)]
 
 
+def test_signature_matches_the_cell_route_exhaustively():
+    for mp, charges, e in oracle.bead_grid(**oracle.CRYSTAL_GRID):
+        for i in range(e):
+            sig = i_signature(mp, charges, e, i)
+            letters = oracle.letters_by_cells(mp, charges, e, i)
+            assert sig.letters == tuple(letters)
+            assert sig.reduced == tuple(oracle.reduce_letters(letters))
+
+
 @given(charged_mp())
 def test_reduced_word_shape(data):
     mp, charges, e = data

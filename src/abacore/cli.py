@@ -9,13 +9,15 @@ Value syntax on the command line: partitions are comma-separated parts
 ("6,3,2,1,1"), multipartitions join components with '|' ("3,1|2,1", with
 "-" or the empty string for an empty component), charge tuples are
 comma-separated integers, group words are space-separated tokens
-("s1 t T").  Tokens starting with a minus sign are accepted as flag values
-without escaping.
+("s1 t T").  Tokens starting with a single minus sign are accepted as flag
+values without escaping; a token starting with ``--`` is never taken as a
+flag value, so a flag missing its value is a usage error.
 
 The subcommands are rows of one table, ``_COMMANDS``.  A call whose first
-argument is a subcommand name builds only that subcommand's parser, once
-per process, and reuses it; anything else (no arguments, ``--help``, an
-unknown command) builds the parser with all of them, also once.
+argument is a subcommand name is parsed directly by that subcommand's own
+parser, built once per process and reused, with no top-level parser in
+between; anything else (no arguments, ``--help``, an unknown command) goes
+through the parser with all of them, also built once.
 """
 
 import argparse
@@ -106,7 +108,8 @@ def parse_window(text):
 
 
 def _merge_negative_values(argv):
-    """Join "--flag" "-3,1" into "--flag=-3,1" so argparse accepts it."""
+    """Join "--flag" "-3,1" into "--flag=-3,1" so argparse accepts it; a
+    following "--..." token is a flag, not a value, and is left alone."""
     out = []
     skip = False
     for pos, tok in enumerate(argv):
@@ -119,7 +122,7 @@ def _merge_negative_values(argv):
             and "=" not in tok
             and nxt is not None
             and nxt.startswith("-")
-            and (len(nxt) == 1 or nxt[1].isdigit() or nxt[1] in ",|-")
+            and (len(nxt) == 1 or nxt[1].isdigit() or nxt[1] in ",|")
         ):
             out.append(f"{tok}={nxt}")
             skip = True
@@ -398,32 +401,47 @@ _COMMANDS = (
 _NAMES = frozenset(name for name, *_ in _COMMANDS)
 
 
+def _add_command(parser, handler, flags):
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--json", action="store_true", help="emit JSON")
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 @lru_cache(maxsize=None)
 def _build_parser(command=None):
-    """The CLI parser with only `command`'s subparser attached, or with all
-    of them when `command` is None.  Keys are None and the table's names,
-    and argparse does not mutate a parser while parsing, so each of these
-    is built once per process and reused."""
+    """`command`'s own parser, or the full parser with every subcommand
+    attached when `command` is None.  A command's parser is the one the full
+    parser would hand its arguments to: the same prog ("abacore NAME"),
+    description and flags.  Keys are None and the table's names, and
+    argparse does not mutate a parser while parsing, so each of these is
+    built once per process and reused."""
+    if command is not None:
+        _, handler, help_text, flags = next(row for row in _COMMANDS if row[0] == command)
+        parser = _Parser(prog=f"abacore {command}", description=help_text)
+        return _add_command(parser, handler, flags)
     parser = _Parser(prog="abacore", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, handler, help_text, flags in _COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text, description=help_text)
-            for flag, kwargs in flags:
-                p.add_argument(flag, **kwargs)
-            p.add_argument("--json", action="store_true", help="emit JSON")
-            p.set_defaults(handler=handler)
+        _add_command(sub.add_parser(name, help=help_text, description=help_text), handler, flags)
     return parser
 
 
 def run(argv):
     """Execute one CLI invocation; returns (exit code, output text)."""
     argv = _merge_negative_values([str(t) for t in argv])
-    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     buf = io.StringIO()
     try:
         with redirect_stdout(buf), redirect_stderr(buf):
-            args = parser.parse_args(argv)
+            if argv and argv[0] in _NAMES:
+                args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
+                if extras:
+                    raise UsageError(
+                        f"abacore: error: unrecognized arguments: {' '.join(extras)}"
+                    )
+            else:
+                args = _build_parser().parse_args(argv)
     except UsageError as exc:
         return 1, str(exc)
     except SystemExit as exc:

@@ -29,6 +29,7 @@ built and no elementary move is simulated (the move-by-move fixed point
 is the test oracle generalized_core_by_moves in tests/oracle.py).
 """
 
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -219,7 +220,8 @@ def in_strict_domain(charges, e):
 
 
 def _require_domain(charges, e):
-    if not in_closed_domain(charges, e):
+    """in_closed_domain on a charge tuple its caller has already validated."""
+    if any(map(operator.gt, charges, charges[1:])) or charges[-1] - charges[0] > e:
         raise ValueError("charges not in fundamental domain")
 
 

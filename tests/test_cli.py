@@ -268,13 +268,28 @@ def test_top_level_help_lists_the_table_in_order():
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_cached_parser_matches_the_full_parser(name, monkeypatch):
-    cases = [[name, "--help"], [name], _parsing_call(name) + ["stray"]]
+    call = _parsing_call(name)
+    first = call[1] if len(call) > 1 else "--e"
+    cases = [
+        [name, "--help"],
+        [name],
+        call + ["stray"],
+        [t[:5] if t.startswith("--") else t for t in call],  # abbreviated flags
+        call + [first, "2"],
+        call + ["--e=3"],
+        call + [first, "-3"],
+        call + ["--e", "x"],
+        call + ["-h"],
+        call + ["--"],
+        call + ["--", "--json"],
+    ]
     cached = [cli.run(argv) for argv in cases]
-    assert [code for code, _ in cached] == [0, 1, 1]
+    assert [code for code, _ in cached[:3]] == [0, 1, 1]
     assert cached[1][1].startswith(f"abacore {name}: error: the following arguments are required")
     assert cached[2][1] == "abacore: error: unrecognized arguments: stray"
-    full = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert cached[8][0] == 0 and cached[8][1].startswith(f"usage: abacore {name}")
+    # with no name known, every call goes through the full parser's relay
+    monkeypatch.setattr(cli, "_NAMES", frozenset())
     assert [cli.run(argv) for argv in cases] == cached
 
 
@@ -285,6 +300,17 @@ def test_cached_parser_keeps_no_state_between_calls(name):
     cli.run(_parsing_call(name) + ["stray"])
     cli.run([name, "--help"])
     assert cli.run(argv) == before
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["act-l", "--charges", "0,1", "--e", "3", "--word", "--json"], "--word"),
+        (["quotient", "--e", "3", "--partition", "--json"], "--partition"),
+    ],
+)
+def test_a_flag_missing_its_value_does_not_take_the_next_flag(argv, flag):
+    assert cli.run(argv) == (1, f"abacore {argv[0]}: error: argument {flag}: expected one argument")
 
 
 def test_defaults_do_not_leak_between_calls():

@@ -1,6 +1,8 @@
 """The decomposition maps and their inverses, checked against a diagram-level
 oracle that strips rim hooks by hand."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +254,17 @@ def test_domain_predicates():
 def test_out_of_domain_charges_are_rejected():
     with pytest.raises(ValueError):
         generalized_core(((1,), ()), (3, 0), 2)
+    # the operations test validated charges with their own comparison;
+    # it must reject exactly what the public predicate rejects
+    for l in (1, 2, 3):
+        for charges in itertools.product(range(-3, 4), repeat=l):
+            for e in (2, 3, 4):
+                empty = ((),) * l
+                if in_closed_domain(charges, e):
+                    assert generalized_core(empty, charges, e).weight == 0
+                else:
+                    with pytest.raises(ValueError, match="^charges not in fundamental domain$"):
+                        generalized_core(empty, charges, e)
 
 
 def test_modulus_validation():

@@ -209,7 +209,11 @@ def realize_multicharge(start, target, e):
     those of the target core while the bucket counts never change.  Each
     step moves one bead from an overfull runner to an underfull one inside
     a single bucket, choosing the cheapest such move, and drops the count
-    distance to the target by exactly two, so the loop ends.  The counts
+    distance to the target by exactly two, so the loop ends.  The buckets
+    are filled from a full row below every charge, so each holds a bead on
+    every runner to move.  No proof that the greedy witness is smallest is
+    known; it is checked against enumeration on closed-domain charges of
+    sum -1, 0 or 1 with e <= 4 and l <= 3 (tests/test_blocks.py).  The counts
     before the loop, each step's drop and the post-condition (through
     generalized_core) are checked, raising RuntimeError.
     """
@@ -222,7 +226,7 @@ def realize_multicharge(start, target, e):
         raise ValueError("unreachable multicharge")
 
     runner_charges = _empty_label(target, e, l)[0]
-    bottom = e * min((0,) + runner_charges + start)
+    bottom = e * (min((0,) + runner_charges + start) - 1)
     need = [t - l * (bottom // e) for t in runner_charges]
     buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]
     counts = [0] * e

@@ -13,11 +13,13 @@ comma-separated integers, group words are space-separated tokens
 values without escaping; a token starting with ``--`` is never taken as a
 flag value, so a flag missing its value is a usage error.
 
-The subcommands are rows of one table, ``_COMMANDS``.  A call whose first
-argument is a subcommand name is parsed directly by that subcommand's own
-parser, built once per process and reused, with no top-level parser in
-between; anything else (no arguments, ``--help``, an unknown command) goes
-through the parser with all of them, also built once.
+The subcommands are rows of one table, ``_COMMANDS``.  A plain call, a
+subcommand name followed only by ``--json`` and exact ``--flag value`` pairs
+with each flag once, is read straight off the table and builds no parser.
+argparse is built only for help, usage errors and irregular forms
+(abbreviated flags, ``--flag=value``, repeats, ``--``): a subcommand's own
+parser when the first argument names one, else the parser with all of them,
+each built once per process and reused.
 """
 
 import argparse
@@ -271,6 +273,8 @@ def _cmd_blocks(a):
         {"block": b._asdict(), "members": members}
         for b, members in decomposition.items()
     ]
+    if a.json:
+        return payload
     lines = []
     for entry in payload:
         lines.append(f"block: {_text_value(entry['block'])}")
@@ -282,6 +286,8 @@ def _cmd_blocks(a):
 def _cmd_uglov_set(a):
     members = sorted(uglov_set(parse_charges(a.charges), a.e, a.n))
     payload = {"size": len(members), "members": members}
+    if a.json:
+        return payload
     lines = [f"size: {len(members)}"]
     lines.extend(map(_text_value, members))
     return payload, "\n".join(lines)
@@ -322,6 +328,8 @@ def _cmd_realize(a):
 def _cmd_reachable(a):
     found = sorted(reachable_multicharges(parse_charges(a.start), a.e, a.bound))
     payload = {"size": len(found), "charges": found}
+    if a.json:
+        return payload
     lines = [f"size: {len(found)}"]
     lines.extend(map(_text_value, found))
     return payload, "\n".join(lines)
@@ -428,25 +436,87 @@ def _build_parser(command=None):
     return parser
 
 
+@lru_cache(maxsize=len(_COMMANDS))
+def _plain_spec(command):
+    """What `command`'s parser knows, read off its table row: each flag's
+    dest and type, the names of the required flags, and the namespace
+    argparse starts from (each dest's default, None where the row gives
+    none, plus json=False and the handler)."""
+    _, handler, _, flags = next(row for row in _COMMANDS if row[0] == command)
+    dests, defaults = {}, {}
+    for flag, kwargs in flags:
+        dest = flag.lstrip("-").replace("-", "_")
+        dests[flag] = dest, kwargs.get("type")
+        defaults[dest] = kwargs.get("default")
+    defaults.update(json=False, handler=handler)
+    required = frozenset(flag for flag, kwargs in flags if kwargs.get("required"))
+    return dests, required, defaults
+
+
+def _plain_parse(argv):
+    """The namespace `argv[0]`'s parser would build from `argv[1:]`, when
+    every later token is --json or an exact flag name of that command
+    followed by one value, no flag repeats, a value starts with "-" only
+    where _merge_negative_values would join it, every int value converts
+    and every required flag is given; None for any other argv, which then
+    goes through argparse.  So this reader can decline but never disagree."""
+    dests, required, defaults = _plain_spec(argv[0])
+    values = dict(defaults)
+    seen = set()
+    pos, end = 1, len(argv)
+    while pos < end:
+        tok = argv[pos]
+        if tok in seen:
+            return None
+        seen.add(tok)
+        if tok == "--json":
+            values["json"] = True
+            pos += 1
+            continue
+        if tok not in dests or pos + 1 == end:
+            return None
+        value = argv[pos + 1]
+        if value[:1] == "-" and not (len(value) == 1 or value[1].isdigit() or value[1] in ",|"):
+            return None
+        dest, kind = dests[tok]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[dest] = value
+        pos += 2
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv):
-    """Execute one CLI invocation; returns (exit code, output text)."""
-    argv = _merge_negative_values([str(t) for t in argv])
-    buf = io.StringIO()
-    try:
-        with redirect_stdout(buf), redirect_stderr(buf):
-            if argv and argv[0] in _NAMES:
-                args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
-                if extras:
-                    raise UsageError(
-                        f"abacore: error: unrecognized arguments: {' '.join(extras)}"
-                    )
-            else:
-                args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        return 1, str(exc)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return (0 if code == 0 else 1), buf.getvalue().rstrip("\n")
+    """Execute one CLI invocation; returns (exit code, output text).
+
+    A plain call of a subcommand (exact `--flag value` pairs and `--json`)
+    is read straight off the command table by _plain_parse.  Any other argv
+    goes through argparse, which alone gives help text and usage errors."""
+    argv = [str(t) for t in argv]
+    args = _plain_parse(argv) if argv and argv[0] in _NAMES else None
+    if args is None:
+        argv = _merge_negative_values(argv)
+        buf = io.StringIO()
+        try:
+            with redirect_stdout(buf), redirect_stderr(buf):
+                if argv and argv[0] in _NAMES:
+                    args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
+                    if extras:
+                        raise UsageError(
+                            f"abacore: error: unrecognized arguments: {' '.join(extras)}"
+                        )
+                else:
+                    args = _build_parser().parse_args(argv)
+        except UsageError as exc:
+            return 1, str(exc)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 0
+            return (0 if code == 0 else 1), buf.getvalue().rstrip("\n")
     try:
         result = args.handler(args)
     except UsageError as exc:

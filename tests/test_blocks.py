@@ -239,6 +239,54 @@ def test_realize_example():
     assert realize_multicharge((0, 0), (-1, 1), 3) == ((), (1,))
 
 
+def _closed_tuples(l, e, charges):
+    return [
+        s for s in itertools.product(charges, repeat=l)
+        if list(s) == sorted(s) and s[-1] <= s[0] + e
+    ]
+
+
+def test_realize_leaves_a_bead_to_move_in_every_bucket():
+    # the bucket charged 0 used to start empty at the bottom row, so the
+    # greedy never moved in it and returned [[], [], [4, 2]] (size 6)
+    witness = realize_multicharge((0, 0, 3), (1, 1, 1), 3)
+    assert mp_size(witness) == 3
+    assert generalized_core(witness, (0, 0, 3), 3).core_charges == (1, 1, 1)
+
+
+def test_realize_witness_size_is_invariant_under_whole_row_shifts():
+    # adding e*q to every start and target charge moves the abacus by whole
+    # rows, so the smallest witness keeps its size
+    for e in (2, 3, 4):
+        for l in (1, 2, 3):
+            domain = _closed_tuples(l, e, range(-3, 4))
+            for start, target in itertools.product(domain, domain):
+                if sum(start) != sum(target):
+                    continue
+                size = mp_size(realize_multicharge(start, target, e))
+                for q in (-1, 1):
+                    moved = [tuple(c + e * q for c in s) for s in (start, target)]
+                    assert mp_size(realize_multicharge(*moved, e)) == size, (start, target, e, q)
+
+
+def test_realize_witness_is_smallest():
+    # against enumeration, on closed-domain charges of sum -1, 0 and 1
+    for e in (2, 3, 4):
+        for l in (1, 2, 3):
+            domain = [s for s in _closed_tuples(l, e, range(-e - 2, e + 3)) if abs(sum(s)) <= 1]
+            for start, target in itertools.product(domain, domain):
+                if sum(start) != sum(target):
+                    continue
+                size = mp_size(realize_multicharge(start, target, e))
+                smaller = (
+                    mp
+                    for n in range(size)
+                    for mp in multipartitions_of(n, l)
+                    if generalized_core(mp, start, e).core_charges == target
+                )
+                assert next(smaller, None) is None, (start, target, e)
+
+
 def test_realize_rejects_unreachable_targets():
     with pytest.raises(ValueError):
         realize_multicharge((0, 0), (0, 1), 3)  # wrong sum

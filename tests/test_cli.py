@@ -2,7 +2,8 @@
 
 The JSON outputs are pinned byte-for-byte where the schema is part of the
 contract; everything else is parsed and compared structurally.  The tests
-of the per-subcommand parser cache call ``cli.run`` in process.
+of the plain reader and of the per-subcommand parser cache call ``cli.run``
+in process.
 """
 
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abacore import cli
 
@@ -248,14 +250,16 @@ def test_negative_sizes_exit_2(argv):
     assert "nonnegative" in r.stdout and "Traceback" not in r.stderr
 
 
+def _flags(name):
+    return next(flags for row_name, _, _, flags in cli._COMMANDS if row_name == name)
+
+
 def _parsing_call(name):
     """argv that parses for `name`: every required flag given the value 1."""
     argv = [name]
-    for row_name, _, _, flags in cli._COMMANDS:
-        if row_name == name:
-            for flag, kwargs in flags:
-                if kwargs.get("required"):
-                    argv += [flag, "1"]
+    for flag, kwargs in _flags(name):
+        if kwargs.get("required"):
+            argv += [flag, "1"]
     return argv
 
 
@@ -322,7 +326,76 @@ def test_defaults_do_not_leak_between_calls():
 
 def test_a_command_builds_only_its_own_parser():
     cli._build_parser.cache_clear()
+    # a plain call is read off the command table and builds no parser
     assert cli.run(["quotient", "--e", "3", "--partition", "2,1"])[0] == 0
+    assert cli._build_parser.cache_info().currsize == 0
+    assert cli.run(["quotient", "--e=3", "--partition", "2,1"])[0] == 0
+    assert cli._build_parser.cache_info().currsize == 1
+    assert cli.run(["quotient", "--help"])[0] == 0
     assert cli._build_parser.cache_info().currsize == 1
     assert cli.run(["--help"])[0] == 0
     assert cli._build_parser.cache_info().currsize == 2
+
+
+_VALUES = ["1"] * 40 + ["3", "0,1", "1|2", "s1 t", "", " 2", "x", "2.5", "-", "-3", "-3,1",
+                         "-,1", "-|1", "-x", "--json", "--e"]
+_ODD = ["-h", "--help", "--", "stray", "-3", "--e=3", "--json"]
+
+
+@st.composite
+def _argvs(draw):
+    """Argvs of one subcommand that are often plain: each flag of the row
+    once, in any order, with a value from _VALUES; now and then a flag is
+    dropped, repeated, abbreviated, left without its value or given in the =
+    form, and an odd token is put anywhere."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [name]
+    forms = ["exact"] * 30 + ["drop", "repeat", "abbreviate", "bare", "equals"]
+    for flag in draw(st.permutations([flag for flag, _ in _flags(name)] + ["--json"])):
+        form = draw(st.sampled_from(forms))
+        value = draw(st.sampled_from(_VALUES))
+        if form == "drop":
+            continue
+        if flag == "--json":
+            argv += [flag] * (2 if form == "repeat" else 1)
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "bare":
+            argv.append(flag)
+        else:
+            argv += [flag[:4] if form == "abbreviate" else flag, value]
+            if form == "repeat":
+                argv += [flag, draw(st.sampled_from(_VALUES))]
+    odd = draw(st.sampled_from([None] * 20 + _ODD))
+    if odd is not None:
+        argv.insert(draw(st.integers(1, len(argv))), odd)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_plain_reader_declines_or_agrees_with_argparse(argv):
+    got = cli._plain_parse(argv)
+    if got is not None:
+        merged = cli._merge_negative_values(argv)
+        args, extras = cli._build_parser(argv[0]).parse_known_args(merged[1:])
+        assert extras == [] and vars(args) == vars(got)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_plain_calls_match_the_full_parser(name, monkeypatch):
+    call = _parsing_call(name)
+    optional = [t for flag, kwargs in _flags(name) if not kwargs.get("required")
+                for t in (flag, "1")]
+    text = [flag for flag, kwargs in _flags(name) if "type" not in kwargs and flag in call]
+    at = call.index(text[0]) + 1  # the value of the first flag that takes text
+    cases = [
+        [name, "--json"] + call[1:] + optional,
+        call + optional + ["--json"],
+        call[:at] + ["-3,1"] + call[at + 1:],
+        call[:at] + ["-"] + call[at + 1:] + ["--json"],
+    ]
+    assert all(cli._plain_parse(argv) is not None for argv in cases)
+    read = [cli.run(argv) for argv in cases]
+    monkeypatch.setattr(cli, "_NAMES", frozenset())
+    assert [cli.run(argv) for argv in cases] == read

@@ -1,6 +1,6 @@
 """Plain-text rendering of abaci."""
 
-from .partitions import Symbol, _as_int, beta_set
+from .partitions import _as_int, _as_symbol, _beta_window
 
 
 def render_abacus(symbols, window):
@@ -10,11 +10,15 @@ def render_abacus(symbols, window):
     a header labeling the window ends.  'X' is a bead, '.' an empty
     position; positions increase left to right.
     """
-    lo, hi = _as_int(window[0]), _as_int(window[1])
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise ValueError(f"window must be a pair (lo, hi), got {window!r}") from None
+    lo, hi = _as_int(lo), _as_int(hi)
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
     lines = [_header(lo, hi)]
-    for s in reversed([Symbol(*s) for s in symbols]):
+    for s in reversed([_as_symbol(s) for s in symbols]):
         beads = _beads_in(s, lo, hi)
         lines.append("".join("X" if j in beads else "." for j in range(lo, hi + 1)))
     return "\n".join(lines)
@@ -26,7 +30,7 @@ def _beads_in(sym, lo, hi):
     if rows == 0:
         # charge at or below the window and no parts: all beads sit below lo
         return frozenset()
-    beads = {b for b in beta_set(p, m, rows) if lo <= b <= hi}
+    beads = {b for b in _beta_window(p, m, rows) if lo <= b <= hi}
     # if the window bottom sits above lo, everything underneath it is full
     beads.update(range(lo, min(m - rows, hi + 1)))
     return beads

@@ -101,7 +101,10 @@ def pair_symbols(X, Y):
     claimed ones cancel, which is what makes the transported action agree
     with the crystal one.
     """
-    X, Y = _as_ints(X), _as_ints(Y)
+    try:
+        X, Y = _as_ints(X), _as_ints(Y)
+    except TypeError:
+        raise ValueError("symbols must be sequences of integers") from None
     for seq in (X, Y):
         if any(a >= b for a, b in zip(seq, seq[1:])):
             raise ValueError("symbol entries must be strictly increasing")

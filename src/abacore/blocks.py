@@ -157,10 +157,16 @@ def is_scopes_exhaustive(b, i, l):
     return True
 
 
+def _as_block(b):
+    if not isinstance(b, BlockId):
+        raise ValueError(f"not a block label: {b!r}")
+    return b
+
+
 def _check_block(b, l):
     """Core charges (anywhere, not only in the domain), weight and modulus
     of a block label used at level l."""
-    e = check_modulus(b.e)
+    e = check_modulus(_as_block(b).e)
     s = as_charges(b.core_multicharge, e)
     w = _as_int(b.weight, 0, "the block weight must be nonnegative")
     if b.m != sum(s):
@@ -191,7 +197,9 @@ def level_multicharge(s_e, e, l):
 
 
 def orbit_equivalent(b1, b2, l):
-    """Whether two block labels lie in one orbit of the sigma generators."""
+    """Whether two block labels lie in one orbit of the sigma generators.
+    Test oracle: orbit_equivalent_by_search in tests/oracle.py."""
+    b1, b2 = _as_block(b1), _as_block(b2)
     if (b1.e, b1.l, b1.m) != (b2.e, b2.l, b2.m):
         raise ValueError("context mismatch")
     s1, w1, e = _check_block(b1, l)

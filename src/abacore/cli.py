@@ -20,12 +20,21 @@ argparse is built only for help, usage errors and irregular forms
 (abbreviated flags, ``--flag=value``, repeats, ``--``): a subcommand's own
 parser when the first argument names one, else the parser with all of them,
 each built once per process and reused.
+
+Repeated in-process calls are answered from a memo: ``run`` keeps each
+finished (code, text) answer, usage and domain errors included, under the
+argv's strings, and returns it when the same argv comes again.  The memo
+holds at most _MEMO_BYTES (argv and answer text, by sys.getsizeof) and
+drops the oldest answers first.  Help text is never kept, since its width
+follows the terminal, and neither is an exception.  ``main`` makes one call
+per process, so a cold ``abacore`` or ``python -m abacore`` gains nothing.
 """
 
 import argparse
 import io
 import json
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
@@ -491,13 +500,72 @@ def _plain_parse(argv):
     return argparse.Namespace(**values)
 
 
+class _Help(Exception):
+    """Help output, (code, text): returned by run but never kept, since its
+    width follows the terminal, which argparse reads again on every call."""
+
+
+class _Memo(dict):
+    """Finished (code, text) answers by argv tuple, oldest first.  It holds
+    at most `limit` bytes, counted by sys.getsizeof over each argv tuple, its
+    strings and its answer text; an answer larger than that is not kept."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit, self.size = limit, 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _bytes(key, text):
+        return sys.getsizeof(key) + sys.getsizeof(text) + sum(map(sys.getsizeof, key))
+
+    def keep(self, key, answer):
+        size = self._bytes(key, answer[1])
+        if size > self.limit:
+            return
+        with self._lock:
+            if key in self:
+                return
+            self[key] = answer
+            self.size += size
+            while self.size > self.limit:
+                old = next(iter(self))
+                self.size -= self._bytes(old, self.pop(old)[1])
+
+    def clear(self):
+        with self._lock:
+            super().clear()
+            self.size = 0
+
+
+_MEMO_BYTES = 4 << 20
+_memo = _Memo(_MEMO_BYTES)
+
+
 def run(argv):
     """Execute one CLI invocation; returns (exit code, output text).
+
+    An answer depends on the argv alone, so a finished one is kept in _memo
+    under the argv's strings and returned from there when the same argv
+    comes again.  Help is never kept, and neither is any exception, which
+    propagates to the caller."""
+    key = tuple(map(str, argv))
+    answer = _memo.get(key)
+    if answer is None:
+        try:
+            answer = _answer(key)
+        except _Help as exc:
+            return exc.args
+        _memo.keep(key, answer)
+    return answer
+
+
+def _answer(argv):
+    """run without the memo, for a tuple of strings.
 
     A plain call of a subcommand (exact `--flag value` pairs and `--json`)
     is read straight off the command table by _plain_parse.  Any other argv
     goes through argparse, which alone gives help text and usage errors."""
-    argv = [str(t) for t in argv]
     args = _plain_parse(argv) if argv and argv[0] in _NAMES else None
     if args is None:
         argv = _merge_negative_values(argv)
@@ -516,7 +584,7 @@ def run(argv):
             return 1, str(exc)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0
-            return (0 if code == 0 else 1), buf.getvalue().rstrip("\n")
+            raise _Help(0 if code == 0 else 1, buf.getvalue().rstrip("\n")) from None
     try:
         result = args.handler(args)
     except UsageError as exc:

@@ -147,10 +147,19 @@ class Symbol(NamedTuple):
         return beta_set(self.partition, self.charge, rows)
 
 
+def _as_symbol(s):
+    """s as a Symbol of a validated partition and charge."""
+    try:
+        p, m = s
+    except (TypeError, ValueError):
+        raise ValueError(f"a symbol is a (partition, charge) pair, got {s!r}") from None
+    return Symbol(as_partition(p), _as_int(m))
+
+
 def shift_symbol(s, r):
     """The shifted symbol X[r]: same partition, charge moved by r."""
-    s = Symbol(*s)
-    return Symbol(as_partition(s.partition), _as_int(s.charge) + _as_int(r))
+    p, m = _as_symbol(s)
+    return Symbol(p, m + _as_int(r))
 
 
 def partitions_of(n, max_part=None):

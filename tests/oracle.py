@@ -17,7 +17,9 @@ and is_scopes_by_diagram looks for addable nodes on the Young diagrams of
 the block's members.  pair_symbols_by_claiming runs both claiming rules of
 the pairing, and act_charge_e_by_letters applies each letter of the left
 action by its own formula, where the library reads both mirrored cases
-through a sign.
+through a sign.  orbit_equivalent_by_search walks the orbit of a block
+label's core charges under s_0, ..., s_{e-1} instead of comparing the
+level_multicharge invariant.
 Speed does not matter; clarity does.
 """
 
@@ -26,6 +28,7 @@ from itertools import product
 from abacore import (
     BlockId,
     GeneralizedCore,
+    act_charge_e,
     count_nodes_by_residue,
     e_tilde,
     level_rank_transpose,
@@ -454,3 +457,57 @@ def act_charge_e_by_letters(word, s, l):
         elif len(s) > 1:
             s = (s[-1] + l,) + s[1:-1] + (s[0] - l,)
     return s
+
+
+_ORBITS = {}
+
+
+def orbit_by_search(s, e, l, box):
+    """The e-charge tuples reached from s by the generators s_0, ..., s_{e-1}
+    of the left action with parameter l, through tuples whose entries all lie
+    in [-box, box].  Each generator is an involution, so the tuples reached
+    form one component of that bounded graph, shared by all its members."""
+    key = (s, e, l, box)
+    if key not in _ORBITS:
+        seen, todo = {s}, [s]
+        while todo:
+            x = todo.pop()
+            for c in range(e):
+                y = act_charge_e(("s%d" % c,), x, l)
+                if y not in seen and max(map(abs, y)) <= box:
+                    seen.add(y)
+                    todo.append(y)
+        orbit = frozenset(seen)
+        _ORBITS.update(((y, e, l, box), orbit) for y in orbit)
+    return _ORBITS[key]
+
+
+def orbit_equivalent_by_search(b1, b2, l):
+    """orbit_equivalent by search: same context and weight, and the core
+    charges of b2 reached from those of b1 inside the box |x| <= 2l + 2 plus
+    their largest entry."""
+    if (b1.e, b1.l, b1.m, b1.weight) != (b2.e, b2.l, b2.m, b2.weight):
+        return False
+    box = 2 * l + 2 + max(map(abs, b1.core_multicharge + b2.core_multicharge))
+    return b2.core_multicharge in orbit_by_search(b1.core_multicharge, b1.e, l, box)
+
+
+def orbit_pairs(max_e, max_l, spread, weights):
+    """Every ordered pair of block labels (b1, b2, l) with 2 <= e <= max_e,
+    1 <= l <= max_l, core charges in [-spread, spread]^e of one sum in
+    [-1, 1], and weights from `weights`."""
+    for e in range(2, max_e + 1):
+        by_sum = {}
+        for s in product(range(-spread, spread + 1), repeat=e):
+            if abs(sum(s)) <= 1:
+                by_sum.setdefault(sum(s), []).append(s)
+        for l in range(1, max_l + 1):
+            for m, tuples in by_sum.items():
+                labels = [BlockId(s, w, e, l, m) for s in tuples for w in weights]
+                yield from ((b1, b2, l) for b1 in labels for b2 in labels)
+
+
+# orbit_equivalent is checked on ORBIT_GRID in tier-1 and on WIDE_ORBIT_GRID
+# (63273 pairs) in tests/wide_agreement.py
+ORBIT_GRID = {"max_e": 4, "max_l": 3, "spread": 1, "weights": (0, 1)}
+WIDE_ORBIT_GRID = {"max_e": 4, "max_l": 3, "spread": 2, "weights": (0,)}

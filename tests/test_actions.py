@@ -234,6 +234,11 @@ def test_pair_symbols_involution(X, Y):
     assert pair_symbols(Xp, Yp) == (X, Y)
 
 
+def test_pair_symbols_rejects_a_non_sequence():
+    with pytest.raises(ValueError):
+        pair_symbols(None, (1,))
+
+
 def test_pair_symbols_matches_the_claiming_oracle_exhaustively():
     # every strictly increasing X, Y within [-4, 4] of at most 5 entries
     symbols = [c for k in range(6) for c in itertools.combinations(range(-4, 5), k)]

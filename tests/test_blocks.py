@@ -197,6 +197,15 @@ def test_orbit_equivalence_examples():
     assert not orbit_equivalent(a, BlockId((0, 1, 1, -1), 2, 4, 2, 1), 2)
 
 
+def test_orbit_equivalence_matches_the_search_oracle_exhaustively():
+    count = 0
+    for b1, b2, l in oracle.orbit_pairs(**oracle.ORBIT_GRID):
+        got = orbit_equivalent(b1, b2, l)
+        assert got == oracle.orbit_equivalent_by_search(b1, b2, l), (b1, b2, l)
+        count += got
+    assert 0 < count < 12132  # both answers occur on the grid's 12132 pairs
+
+
 def test_orbit_equivalence_needs_one_context():
     a = BlockId((0, 1, 1, -1), 1, 4, 2, 1)
     with pytest.raises(ValueError):
@@ -392,6 +401,7 @@ BAD_BLOCKS = [
     BlockId((0, 1, 1), 1, 4, 2, 2),  # e = 4 but three core charges
     BlockId((0, 1, 1, -1), 1, 4, 2, 5),  # m is not the core charge sum
     BlockId((0, 1, 1, -1), 1, 4, 3, 1),  # labelled at level 3, used at 2
+    ((0, 1, 1, -1), 1, 4, 2, 1),  # the fields of a good label in a plain tuple
 ]
 
 
@@ -403,6 +413,7 @@ BAD_BLOCKS = [
         lambda b: is_scopes_exhaustive(b, 1, 2),
         lambda b: block_action("t", b, 2),
         lambda b: orbit_equivalent(b, b, 2),
+        lambda b: orbit_equivalent(BlockId((0, 1, 1, -1), 1, 4, 2, 1), b, 2),
     ],
 )
 def test_inconsistent_block_labels_are_rejected(call, b):

@@ -2,8 +2,9 @@
 
 The JSON outputs are pinned byte-for-byte where the schema is part of the
 contract; everything else is parsed and compared structurally.  The tests
-of the plain reader and of the per-subcommand parser cache call ``cli.run``
-in process.
+of the plain reader, of the per-subcommand parser cache and of the answer
+memo call ``cli.run`` in process; a test that compares two routes clears
+the memo before each, so neither is served the other's answers.
 """
 
 import json
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abacore import cli
+
+import cli_contract
 
 SUBCOMMANDS = [
     "core", "quotient", "uglov", "from-quotient", "transpose", "gencore",
@@ -287,6 +290,7 @@ def test_cached_parser_matches_the_full_parser(name, monkeypatch):
         call + ["--"],
         call + ["--", "--json"],
     ]
+    cli._memo.clear()
     cached = [cli.run(argv) for argv in cases]
     assert [code for code, _ in cached[:3]] == [0, 1, 1]
     assert cached[1][1].startswith(f"abacore {name}: error: the following arguments are required")
@@ -294,15 +298,18 @@ def test_cached_parser_matches_the_full_parser(name, monkeypatch):
     assert cached[8][0] == 0 and cached[8][1].startswith(f"usage: abacore {name}")
     # with no name known, every call goes through the full parser's relay
     monkeypatch.setattr(cli, "_NAMES", frozenset())
+    cli._memo.clear()
     assert [cli.run(argv) for argv in cases] == cached
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_cached_parser_keeps_no_state_between_calls(name):
     argv = _parsing_call(name) + ["--json"]
+    cli._memo.clear()
     before = cli.run(argv)
     cli.run(_parsing_call(name) + ["stray"])
     cli.run([name, "--help"])
+    cli._memo.clear()
     assert cli.run(argv) == before
 
 
@@ -319,12 +326,15 @@ def test_a_flag_missing_its_value_does_not_take_the_next_flag(argv, flag):
 
 def test_defaults_do_not_leak_between_calls():
     argv = ["quotient", "--e", "3", "--partition", "6,3,2,1,1", "--json"]
+    cli._memo.clear()
     before = cli.run(argv)
     assert cli.run(argv[:-1] + ["--m", "2", "--json"]) != before
+    cli._memo.clear()
     assert cli.run(argv) == before
 
 
 def test_a_command_builds_only_its_own_parser():
+    cli._memo.clear()
     cli._build_parser.cache_clear()
     # a plain call is read off the command table and builds no parser
     assert cli.run(["quotient", "--e", "3", "--partition", "2,1"])[0] == 0
@@ -396,6 +406,78 @@ def test_plain_calls_match_the_full_parser(name, monkeypatch):
         call[:at] + ["-"] + call[at + 1:] + ["--json"],
     ]
     assert all(cli._plain_parse(argv) is not None for argv in cases)
+    cli._memo.clear()
     read = [cli.run(argv) for argv in cases]
     monkeypatch.setattr(cli, "_NAMES", frozenset())
+    cli._memo.clear()
     assert [cli.run(argv) for argv in cases] == read
+
+
+def _stray_call(tag, width):
+    """A usage error that echoes its stray token: about 2 * width bytes kept."""
+    return ("quotient", "--e", "3", "--partition", "1", f"{tag:04d}".ljust(width, "x"))
+
+
+def test_memo_answers_equal_fresh_answers_on_the_pool():
+    pool = cli_contract.pool_argvs(0)
+    cli._memo.clear()
+    first = [cli.run(argv) for argv in pool]
+    again = [cli.run(argv) for argv in pool]
+    # the second pass is answered from the memo: the very objects it keeps
+    assert all(answer is cli._memo[argv] for argv, answer in zip(pool, again))
+    assert again == first
+    fresh = []
+    for argv in pool:
+        cli._memo.clear()
+        fresh.append(cli.run(argv))
+    assert fresh == first
+
+
+def test_memo_keeps_its_bound_and_evicts_the_oldest_first():
+    limit = cli._MEMO_BYTES
+    calls = [_stray_call(tag, limit // 10) for tag in range(25)]
+    entry = cli._Memo._bytes(calls[0], cli.run(calls[0])[1])
+    cli._memo.clear()
+    for count, argv in enumerate(calls, 1):
+        code, text = cli.run(argv)
+        assert code == 1 and text.endswith(argv[-1])
+        assert cli._memo.size == entry * len(cli._memo) <= limit
+        # the newest calls are kept, as many as fit, in the order they came
+        assert list(cli._memo) == calls[:count][-(limit // entry):]
+    assert 0 < len(cli._memo) < len(calls)
+
+
+def test_an_answer_larger_than_the_memo_is_returned_but_not_kept():
+    small = ["quotient", "--e", "3", "--partition", "2,1"]
+    cli._memo.clear()
+    kept = cli.run(small)
+    huge = _stray_call(0, cli._MEMO_BYTES)
+    code, text = cli.run(huge)
+    assert code == 1 and text == f"abacore: error: unrecognized arguments: {huge[-1]}"
+    assert list(cli._memo) == [tuple(small)] and cli._memo[tuple(small)] == kept
+
+
+def test_help_is_never_kept_and_follows_the_terminal(monkeypatch):
+    argv = ["quotient", "--help"]
+    monkeypatch.setenv("COLUMNS", "50")
+    narrow = cli.run(argv)
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = cli.run(argv)
+    assert narrow[0] == wide[0] == 0
+    assert max(map(len, narrow[1].splitlines())) <= 50 < max(map(len, wide[1].splitlines()))
+    assert tuple(argv) not in cli._memo
+
+
+def test_an_exception_is_not_kept(monkeypatch):
+    argv = ["duality-check", "--i", "1", "--mp", "1|2", "--charges", "0,1", "--e", "2", "--json"]
+
+    def broken(*args):
+        raise RuntimeError("duality transport changed the level charges")
+
+    cli._memo.clear()
+    monkeypatch.setattr(cli, "duality_transport", broken)
+    with pytest.raises(RuntimeError):
+        cli.run(argv)
+    assert tuple(argv) not in cli._memo
+    monkeypatch.undo()
+    assert cli.run(argv) == (0, '{"star":[[2,1],[3]],"transport":[[2,1],[3]],"agree":true}')

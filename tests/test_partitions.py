@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from abacore import Symbol, beta_set, partition_of_symbol, partitions_of, shift_symbol
+from abacore import Symbol, beta_set, partition_of_symbol, partitions_of, render_abacus, shift_symbol
 from abacore.partitions import (
     as_partition,
     compositions_of,
@@ -106,6 +106,21 @@ def test_shift_symbol_moves_the_window(p, m, r):
     assert t.partition == p and t.charge == m + r
     rows = len(p) + 1
     assert t.window(rows) == tuple(b + r for b in s.window(rows))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: render_abacus([Symbol((1,), 0)], (1,)),  # was IndexError
+        lambda: render_abacus([Symbol((1,), 0)], (1, 3, 5)),  # the 5 was ignored
+        lambda: render_abacus([((1,),)], (0, 3)),  # a symbol without its charge
+        lambda: shift_symbol(((1,),), 1),
+    ],
+    ids=["short-window", "long-window", "render-bare-partition", "shift-bare-partition"],
+)
+def test_malformed_windows_and_symbols_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_sizes():

@@ -18,7 +18,11 @@ def render_abacus(symbols, window):
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
     lines = [_header(lo, hi)]
-    for s in reversed([_as_symbol(s) for s in symbols]):
+    try:
+        symbols = iter(symbols)
+    except TypeError:
+        raise ValueError(f"expected a sequence of symbols, got {symbols!r}") from None
+    for s in reversed([*map(_as_symbol, symbols)]):
         beads = _beads_in(s, lo, hi)
         lines.append("".join("X" if j in beads else "." for j in range(lo, hi + 1)))
     return "\n".join(lines)

@@ -101,10 +101,7 @@ def pair_symbols(X, Y):
     claimed ones cancel, which is what makes the transported action agree
     with the crystal one.
     """
-    try:
-        X, Y = _as_ints(X), _as_ints(Y)
-    except TypeError:
-        raise ValueError("symbols must be sequences of integers") from None
+    X, Y = _as_ints(X), _as_ints(Y)
     for seq in (X, Y):
         if any(a >= b for a, b in zip(seq, seq[1:])):
             raise ValueError("symbol entries must be strictly increasing")

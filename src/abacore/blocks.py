@@ -9,6 +9,7 @@ charges, and orbits of that action are classified by an invariant computed
 on the level-l side.
 """
 
+import operator
 from typing import NamedTuple
 
 from .actions import act_charge_e, act_charge_l, psi
@@ -19,6 +20,7 @@ from .partitions import (
     _charge_tuple,
     _check_residue,
     _checked,
+    _regular_partitions,
     as_charges,
     check_modulus,
     multipartitions_of,
@@ -84,12 +86,18 @@ def uglov_set(charges, e, n):
     (a) lam^(j)_r >= lam^(j+1)_{r + s_{j+1} - s_j} for j < l - 1 and
     lam^(l-1)_r >= lam^(0)_{r + e + s_0 - s_{l-1}}, for every r >= 1;
     (b) for each k > 0 the residues k - r + s_j of the rows r of length k
-    miss some residue mod e.  Other charges are narrowed (the nodes of sizes
-    below n order alike across any gap above 2n, so each such gap shrinks
-    to the least one of its residue mod e), sorted with s_c and lifted with
-    t into the domain (each t cuts their distance to the top by e), and the
-    set there goes back by psi of the inverse word, which commutes with the
-    crystal operators.  Test oracle: uglov_set_by_crystal in tests/oracle.py.
+    miss some residue mod e.  They are built, not filtered: a part repeated
+    e times has e consecutive residues, against (b), so chains of e-regular
+    components are grown within the size budget n, each checked by (a)
+    against the one before, and full chains by the wrap condition and (b).
+    The work follows the chains that meet (a), not the multipartitions of
+    n (_flotw).  Other charges are narrowed (the nodes of sizes below n
+    order alike across any gap above 2n, so each such gap shrinks to the
+    least one of its residue mod e), sorted with s_c and lifted with t into
+    the domain (each t cuts their distance to the top by e), and the set
+    there goes back by psi of the inverse word, which commutes with the
+    crystal operators.  Test oracles: uglov_set_by_crystal and
+    uglov_set_by_filter in tests/oracle.py.
     """
     s = _charge_tuple(charges)
     e = check_modulus(e)
@@ -103,19 +111,42 @@ def uglov_set(charges, e, n):
         c = next((c for c in range(1, len(s)) if s[c - 1] > s[c]), 0)
         s = act_charge_l(s, ("s%d" % c if c else "t",), e)
         back = ("s%d" % c if c else "T",) + back
-    members = (mp for mp in multipartitions_of(n, len(s)) if _is_flotw(mp, s, e))
+    members = _flotw(s, e, n)
     return frozenset(psi(mp, s, back, e)[0] for mp in members) if back else frozenset(members)
 
 
-def _is_flotw(mp, s, e):
-    """Conditions (a), then (b), of uglov_set at closed-domain charges s."""
-    for j, (p, q) in enumerate(zip(mp, mp[1:] + mp[:1])):
-        d = s[j + 1] - s[j] if j + 1 < len(mp) else e + s[0] - s[-1]
-        if len(q) - d > len(p) or any(a < b for a, b in zip(p, q[d:])):
-            return False
-    rows = {(k, (k - r + s[j]) % e) for j, p in enumerate(mp) for r, k in enumerate(p, 1)}
-    lengths = [k for k, _ in rows]
-    return all(lengths.count(k) < e for k in lengths)
+def _flotw(s, e, n):
+    """uglov_set at closed-domain charges s.  Components come fewest rows
+    first, so one too long for (a) ends the scan; component 0 is checked
+    against an empty one at gap n, which bounds nothing.  (b) builds its
+    residue set only when some row length occurs e times or more."""
+    l, lt, wrap, out, stack = len(s), operator.lt, e + s[0] - s[-1], [], [((), n)]
+    while stack:
+        mp, rest = stack.pop()
+        j = len(mp)
+        p, d = (mp[-1], s[j] - s[j - 1]) if j else ((), n)
+        most = len(p) + d
+        for m in range(rest + 1) if j < l - 1 else (rest,):
+            for q in _regular_partitions(m, e):
+                if len(q) > most:
+                    break
+                if j and any(map(lt, p, q[d:])):
+                    continue
+                if j < l - 1:
+                    stack.append((mp + (q,), rest - m))
+                    continue
+                mp_q = mp + (q,)
+                if len(mp_q[0]) > len(q) + wrap or any(map(lt, q, mp_q[0][wrap:])):
+                    continue
+                lengths = sum(mp_q, ())
+                if len(lengths) >= e and max(map(lengths.count, lengths)) >= e:
+                    rows = {(k, (k - r + s[i]) % e) for i, c in enumerate(mp_q)
+                            for r, k in enumerate(c, 1)}
+                    lengths = [k for k, _ in rows]
+                    if max(map(lengths.count, lengths)) >= e:
+                        continue
+                out.append(mp_q)
+    return out
 
 
 def is_scopes(b, i, l):

@@ -37,7 +37,10 @@ def _as_int(x, least=None, message=None):
 
 def _as_ints(xs):
     """A tuple of exact ints (see _as_int)."""
-    xs = tuple(xs)
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise ValueError(f"expected a sequence of integers, got {xs!r}") from None
     if not {*map(type, xs)} <= {int}:
         xs = tuple(map(_as_int, xs))
     return xs
@@ -62,7 +65,11 @@ def as_partition(p):
 
 
 def as_multipartition(mp):
-    mp = tuple(as_partition(c) for c in mp)
+    try:
+        components = iter(mp)
+    except TypeError:
+        raise ValueError(f"expected a multipartition, got {mp!r}") from None
+    mp = tuple(map(as_partition, components))
     if not mp:
         raise ValueError("a multipartition needs at least one component")
     return mp
@@ -180,6 +187,23 @@ def _partitions_of(n, max_part):
 @lru_cache(maxsize=32)
 def partition_list(n):
     return tuple(partitions_of(n))
+
+
+@lru_cache(maxsize=64)
+def _regular_partitions(n, e):
+    """The partitions of n with no part repeated e times, fewest rows first.
+    They are built on a stack, a part k and its count c < e at a time; what
+    is left must fit in parts below k, so no branch dies."""
+    out, stack = [], [((), n, n + 1)]
+    while stack:
+        p, rest, above = stack.pop()
+        if not rest:
+            out.append(p)
+        for k in range(1, min(rest + 1, above)):
+            for c in range(1, min(e, rest // k + 1)):
+                if rest - c * k <= (e - 1) * k * (k - 1) // 2:
+                    stack.append((p + (k,) * c, rest - c * k, k))
+    return tuple(sorted(out, key=len))
 
 
 def compositions_of(n, k):

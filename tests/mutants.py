@@ -1,0 +1,248 @@
+"""Mutation checks: each row breaks the library in one known way and names
+the tests that must catch it.
+
+    python tests/mutants.py            # every row
+    python tests/mutants.py NAME ...   # the named rows only
+
+A row is (name, module under src/abacore, exact old snippet, replacement,
+node ids).  For each row the script copies src/ to a temporary directory,
+replaces the snippet there, and runs pytest on the row's node ids against
+the copy.  It fails when a snippet does not occur exactly once in its
+module, when the listed tests do not all pass on the unmutated copy (a
+failure on the mutant would then mean nothing), or when a listed test
+passes on its mutant, which then survives.  The repository itself is never
+edited.  A refactor that moves a snippet re-targets its row; a row is
+dropped only for a mutant shown to be an equivalent program, with the
+reason recorded in CHANGES.md.  Needs only the standard library and pytest.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BLOCKS = "tests/test_blocks.py::"
+CLI = "tests/test_cli.py::"
+PARTITIONS = "tests/test_partitions.py::"
+NON_ITERABLE = PARTITIONS + "test_non_iterable_arguments_are_value_errors"
+REGULAR_LISTS = (
+    PARTITIONS + "test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first"
+)
+
+MUTANTS = (
+    # the Uglov set generator (blocks._flotw) and its component lists
+    (
+        "flotw-wrap-dropped",
+        "blocks.py",
+        "                if len(mp_q[0]) > len(q) + wrap or any(map(lt, q, mp_q[0][wrap:])):\n"
+        "                    continue\n",
+        "",
+        (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
+         BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
+    ),
+    (
+        # output-equivalent for uglov_set, whose (b) check rejects a part
+        # repeated e times, so only the list test sees it
+        "regular-multiplicity-up-to-e",
+        "partitions.py",
+        "for c in range(1, min(e, rest // k + 1))",
+        "for c in range(1, min(e + 1, rest // k + 1))",
+        (REGULAR_LISTS,),
+    ),
+    (
+        "regular-lists-unsorted",
+        "partitions.py",
+        "return tuple(sorted(out, key=len))",
+        "return tuple(out)",
+        (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
+         REGULAR_LISTS),
+    ),
+    (
+        "flotw-gap-off-by-one",
+        "blocks.py",
+        "p, d = (mp[-1], s[j] - s[j - 1]) if j else ((), n)",
+        "p, d = (mp[-1], s[j] - s[j - 1] + 1) if j else ((), n)",
+        (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
+         BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
+    ),
+    (
+        # the threshold lowered to e - 1 only builds the residue set more
+        # often, an equivalent program; raised to e + 1, a length repeated
+        # exactly e times skips (b)
+        "flotw-prefilter-threshold-e-plus-one",
+        "blocks.py",
+        "if len(lengths) >= e and max(map(lengths.count, lengths)) >= e:",
+        "if len(lengths) >= e and max(map(lengths.count, lengths)) >= e + 1:",
+        (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
+         BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
+    ),
+    # the cli.run memo and the boundary checks that came with it
+    (
+        "memo-no-eviction",
+        "cli.py",
+        "            while self.size > self.limit:\n",
+        "            while False:\n",
+        (CLI + "test_memo_keeps_its_bound_and_evicts_the_oldest_first",),
+    ),
+    (
+        "memo-newest-first-eviction",
+        "cli.py",
+        "old = next(iter(self))",
+        "old = next(reversed(self))",
+        (CLI + "test_memo_keeps_its_bound_and_evicts_the_oldest_first",),
+    ),
+    (
+        "memo-keeps-help",
+        "cli.py",
+        "        except _Help as exc:\n            return exc.args\n",
+        "        except _Help as exc:\n            answer = exc.args\n",
+        (CLI + "test_help_is_never_kept_and_follows_the_terminal",),
+    ),
+    (
+        "memo-size-check-dropped",
+        "cli.py",
+        "        if size > self.limit:\n            return\n",
+        "",
+        (CLI + "test_an_answer_larger_than_the_memo_is_returned_but_not_kept",),
+    ),
+    (
+        "memo-lookup-under-a-wrong-key",
+        "cli.py",
+        "answer = _memo.get(key)",
+        "answer = _memo.get(key[1:])",
+        (CLI + "test_memo_answers_equal_fresh_answers_on_the_pool",),
+    ),
+    (
+        "orbit-equivalent-without-as-block",
+        "blocks.py",
+        "    b1, b2 = _as_block(b1), _as_block(b2)\n",
+        "",
+        (BLOCKS + "test_inconsistent_block_labels_are_rejected[<lambda>3-b5]",
+         BLOCKS + "test_inconsistent_block_labels_are_rejected[<lambda>4-b5]"),
+    ),
+    (
+        "level-multicharge-missing-a-runner",
+        "blocks.py",
+        "sum((s + j) // l for s in s_e)",
+        "sum((s + j) // l for s in s_e[1:])",
+        (BLOCKS + "test_level_multicharge_matches_the_two_map_route",
+         BLOCKS + "test_orbit_equivalence_matches_the_search_oracle_exhaustively"),
+    ),
+    (
+        "render-window-indexing-restored",
+        "abacus.py",
+        "    try:\n"
+        "        lo, hi = window\n"
+        "    except (TypeError, ValueError):\n"
+        '        raise ValueError(f"window must be a pair (lo, hi), got {window!r}") from None\n',
+        "    lo, hi = window[0], window[1]\n",
+        (PARTITIONS + "test_malformed_windows_and_symbols_are_value_errors[short-window]",
+         PARTITIONS + "test_malformed_windows_and_symbols_are_value_errors[long-window]"),
+    ),
+    # non-iterable arguments are ValueErrors at the public boundary
+    (
+        "as-ints-lets-type-errors-through",
+        "partitions.py",
+        "        xs = tuple(xs)\n    except TypeError:\n",
+        "        xs = tuple(xs)\n    except ValueError:\n",
+        (NON_ITERABLE + "[tau_e-none]",
+         NON_ITERABLE + "[block_id-none-component]",
+         NON_ITERABLE + "[partition_of_symbol-none]",
+         NON_ITERABLE + "[uglov_set-none]"),
+    ),
+    (
+        "multipartition-lets-type-errors-through",
+        "partitions.py",
+        "        components = iter(mp)\n    except TypeError:\n",
+        "        components = iter(mp)\n    except ValueError:\n",
+        (NON_ITERABLE + "[block_id-none]",),
+    ),
+    (
+        "render-lets-type-errors-through",
+        "abacus.py",
+        "        symbols = iter(symbols)\n    except TypeError:\n",
+        "        symbols = iter(symbols)\n    except ValueError:\n",
+        (NON_ITERABLE + "[render_abacus-none]",),
+    ),
+)
+
+
+def run_tests(src, node_ids):
+    """pytest on node_ids with the abacore package taken from src; returns
+    the exit code, the node ids reported as failed or in error, and the
+    output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+         *node_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
+    )
+    failed = {
+        line.split()[1]
+        for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1
+    }
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def mutate(src, module, old, new):
+    path = src / "abacore" / module
+    text = path.read_text()
+    count = text.count(old)
+    if count != 1:
+        return f"the snippet occurs {count} times in {module}"
+    path.write_text(text.replace(old, new))
+    return None
+
+
+def main(names):
+    rows = [row for row in MUTANTS if not names or row[0] in names]
+    unknown = set(names) - {row[0] for row in rows}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        shutil.copytree(ROOT / "src", clean)
+        probe = subprocess.run(
+            [sys.executable, "-c", "import abacore; print(abacore.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(clean)), capture_output=True, text=True,
+        )
+        if not probe.stdout.strip().startswith(str(clean)):
+            print(f"abacore does not import from the copy: {probe.stdout or probe.stderr}")
+            return 1
+        every = sorted({node for row in rows for node in row[4]})
+        code, failed, out = run_tests(clean, every)
+        if code != 0:
+            print(f"the listed tests do not all pass on the unmutated source (exit {code}):")
+            print(out[-3000:])
+            return 1
+        print(f"baseline: {len(every)} listed tests pass on the unmutated source")
+        for k, (name, module, old, new, node_ids) in enumerate(rows):
+            src = Path(tmp) / f"mutant{k}"
+            shutil.copytree(ROOT / "src", src)
+            problem = mutate(src, module, old, new)
+            if problem is None:
+                code, failed, out = run_tests(src, node_ids)
+                survivors = [node for node in node_ids if node not in failed]
+                if survivors:
+                    problem = "survives " + ", ".join(survivors)
+            print(f"{name}: {problem or 'killed by ' + str(len(node_ids)) + ' tests'}")
+            if problem:
+                problems.append(name)
+            shutil.rmtree(src)
+    if problems:
+        print(f"{len(problems)} of {len(rows)} mutants not killed: {', '.join(problems)}")
+        return 1
+    print(f"all {len(rows)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

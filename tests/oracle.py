@@ -13,8 +13,10 @@ runner-bead kernels.  fayers_weight is the abacus-free residue-count
 weight.  relabel_by_definition places the beads of a symbol in another view
 straight from the (c, d, k) table, without the library's windows or kernel.
 uglov_set_by_crystal builds the Uglov layers with the crystal operators,
-and is_scopes_by_diagram looks for addable nodes on the Young diagrams of
-the block's members.  pair_symbols_by_claiming runs both claiming rules of
+uglov_set_by_filter keeps the multipartitions of n that meet the FLOTW
+conditions (the route the library's generator replaced), and
+is_scopes_by_diagram looks for addable nodes on the Young diagrams of the
+block's members.  pair_symbols_by_claiming runs both claiming rules of
 the pairing, and act_charge_e_by_letters applies each letter of the left
 action by its own formula, where the library reads both mirrored cases
 through a sign.  orbit_equivalent_by_search walks the orbit of a block
@@ -23,7 +25,7 @@ level_multicharge invariant.
 Speed does not matter; clarity does.
 """
 
-from itertools import product
+from itertools import accumulate, product
 
 from abacore import (
     BlockId,
@@ -166,6 +168,41 @@ def uglov_set_by_crystal(charges, e, n):
             if (image := e_tilde(i, mp, charges, e)) is not None
         ))
     return layers
+
+
+def uglov_set_by_filter(charges, e, n):
+    """uglov_set at closed-domain charges: every multipartition of n, kept
+    when it meets conditions (a), with the wrap, and (b) of the FLOTW
+    definition (see blocks.uglov_set)."""
+    return frozenset(mp for mp in multipartitions_of(n, len(charges)) if _is_flotw(mp, charges, e))
+
+
+def _is_flotw(mp, s, e):
+    for j, (p, q) in enumerate(zip(mp, mp[1:] + mp[:1])):
+        d = s[j + 1] - s[j] if j + 1 < len(mp) else e + s[0] - s[-1]
+        if len(q) - d > len(p) or any(a < b for a, b in zip(p, q[d:])):
+            return False
+    rows = {(k, (k - r + s[j]) % e) for j, p in enumerate(mp) for r, k in enumerate(p, 1)}
+    lengths = [k for k, _ in rows]
+    return all(lengths.count(k) < e for k in lengths)
+
+
+def flotw_grid(max_e, sizes):
+    """Every (charges, e, n) with 2 <= e <= max_e, l = len(sizes), charges
+    weakly increasing from 0 with spread at most e (the closed domain up to
+    a shift) and n < sizes[l - 1]: the grids the Uglov generator is checked
+    on against uglov_set_by_filter."""
+    for l, top in enumerate(sizes, 1):
+        for e in range(2, max_e + 1):
+            for steps in product(range(e + 1), repeat=l - 1):
+                charges = tuple(accumulate((0,) + steps))
+                if charges[-1] <= e:
+                    yield from ((charges, e, n) for n in range(top))
+
+
+# 1135 cases in tier-1; the wide grid runs in tests/wide_agreement.py
+FLOTW_GRID = {"max_e": 5, "sizes": (14, 9, 6, 5)}
+WIDE_FLOTW_GRID = {"max_e": 6, "sizes": (22, 14, 9, 7)}
 
 
 def is_scopes_by_diagram(b, i):

@@ -141,6 +141,26 @@ def test_uglov_set_matches_the_crystal_at_wide_charges():
                     assert uglov_set(charges, e, n) == layer, (charges, e, n)
 
 
+def test_uglov_set_matches_the_filter_exhaustively():
+    # every closed-domain pattern from 0 up to spread e, l <= 4, e <= 5
+    checked = 0
+    for charges, e, n in oracle.flotw_grid(**oracle.FLOTW_GRID):
+        want = oracle.uglov_set_by_filter(charges, e, n)
+        assert uglov_set(charges, e, n) == want, (charges, e, n)
+        checked += 1
+    assert checked == 1135
+
+
+def test_uglov_set_at_level_one_is_the_e_regular_partitions():
+    # a part repeated e times breaks (b); at l = 1 nothing else can
+    for e in range(2, 6):
+        for n in range(14):
+            regular = {
+                (p,) for p in oracle.partitions_of(n) if all(p.count(k) < e for k in p)
+            }
+            assert uglov_set((0,), e, n) == regular, (e, n)
+
+
 def test_uglov_members_connect_downward():
     for e in (2, 3):
         for charges in ((0,), (0, 1), (1, 2)):

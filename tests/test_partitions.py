@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import abacore as ab
 from abacore import Symbol, beta_set, partition_of_symbol, partitions_of, render_abacus, shift_symbol
 from abacore.partitions import (
+    _regular_partitions,
     as_partition,
     compositions_of,
     mp_size,
@@ -121,6 +123,46 @@ def test_shift_symbol_moves_the_window(p, m, r):
 def test_malformed_windows_and_symbols_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ab.tau_e(None, 0, 3),
+        lambda: ab.tau_e(5, 0, 3),
+        lambda: ab.block_id(None, (0,), 3),
+        lambda: ab.block_id(((1,), None), (0, 0), 3),
+        lambda: ab.act_charge_e("t", None, 2),
+        lambda: ab.blocks_of(2, None, 3),
+        lambda: ab.partition_of_symbol(None, 0),
+        lambda: ab.render_abacus(None, (0, 3)),
+        lambda: ab.uglov_set(None, 2, 3),
+        lambda: ab.level_multicharge(None, 2, 2),
+        lambda: ab.reachable_multicharges(None, 2, 1),
+    ],
+    ids=[
+        "tau_e-none", "tau_e-int", "block_id-none", "block_id-none-component",
+        "act_charge_e-none", "blocks_of-none", "partition_of_symbol-none",
+        "render_abacus-none", "uglov_set-none", "level_multicharge-none",
+        "reachable_multicharges-none",
+    ],
+)
+def test_non_iterable_arguments_are_value_errors(call):
+    # each of these raised TypeError: 'NoneType' object is not iterable
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first():
+    # uglov_set draws its components from these lists and stops a scan at
+    # the first one too long, so both the members and the order matter
+    for e in range(2, 6):
+        for n in range(14):
+            got = _regular_partitions(n, e)
+            assert sorted(got) == sorted(
+                p for p in oracle.partitions_of(n) if all(p.count(k) < e for k in p)
+            ), (n, e)
+            assert [len(p) for p in got] == sorted(len(p) for p in got), (n, e)
 
 
 def test_sizes():

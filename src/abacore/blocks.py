@@ -1,12 +1,12 @@
 """Blocks of charged multipartitions and the group action on them.
 
-A block is labeled by the charge tuple of the e-core of the underlying
-partition together with the quotient weight, both read off the rows in
-closed form (quotients._runner_counts); two charged multipartitions lie
-in the same block exactly when those agree.  The extended affine
-symmetric group acts on block labels through its action on the core
-charges, and orbits of that action are classified by an invariant computed
-on the level-l side.
+A block is labeled by the charge tuple of the e-core of the underlying partition
+and the quotient weight, read off the rows in closed form (quotients._runner_counts);
+two charged multipartitions lie in the same block exactly when those agree.  A label
+sums one row tally per component (quotients._row_tally): blocks_of adds them up over
+members in lexicographic order, reachable_multicharges by a DP.  The extended affine
+symmetric group acts on block labels through its action on the core charges, and
+orbits of that action are classified by an invariant computed on the level-l side.
 """
 
 import operator
@@ -24,10 +24,12 @@ from .partitions import (
     as_charges,
     check_modulus,
     multipartitions_of,
+    partition_list,
 )
 from .quotients import (
     _empty_label,
     _require_domain,
+    _row_tally,
     _runner_counts,
     _symbols,
     generalized_core,
@@ -60,21 +62,37 @@ def block_id(mp, charges, e):
 def blocks_of(n, charges, e):
     """Group all multipartitions of total size n into blocks.
 
-    Returns a dict from BlockId to the sorted tuple of members, with the
-    blocks ordered by (weight, core charge tuple).
+    Returns a dict from BlockId to the members in lexicographic order, the
+    blocks ordered by (weight, core charge tuple).  At size n the runner-count
+    changes of the row tallies fix the label (e times a row's rise is its part
+    less new % e - old % e).  They are packed once per partition and charge mod
+    e, change c times 2**(width*c), so a member costs one addition.  Digit c sums
+    to a change in [-n, n], as at most n rows move one bead each: with
+    2**width > 2n, n more in each digit gives digits in [0, 2n], which never
+    carry, so equal sums mean equal labels.  Blocks are labelled off their
+    first member; components walk their partitions in increasing tuple order,
+    so members come sorted.  Test oracle: blocks_of_by_labels.
     """
     n = _as_int(n, 0, "the size n must be nonnegative")
     charges = _charge_tuple(charges)
     e = check_modulus(e)
     _require_domain(charges, e)
     l = len(charges)
+    places = [1 << (2 * n).bit_length() * c for c in range(e)]
+    sizes = range(n + 1) if l > 1 else (n,)  # only the last component at l = 1
+    packed = {(s, k): [(p, sum(map(operator.mul, _row_tally(p, s, e)[0], places)))
+                       for p in partition_list(k)] for s in {c % e for c in charges} for k in sizes}
+    members = [((), n, 0)]  # (components so far, size left, packed changes)
+    for s in charges[:-1]:
+        column = sorted((p, k, t) for k in sizes for p, t in packed[s % e, k])
+        members = [(mp + (p,), rest - k, u + t)
+                   for mp, rest, u in members for p, k, t in column if k <= rest]
     groups = {}
-    for mp in multipartitions_of(n, l):
-        groups.setdefault(_runner_counts(mp, charges, e, l), []).append(mp)
-    return {
-        BlockId(s_e, w, e, l, sum(charges)): tuple(sorted(groups[s_e, w]))
-        for s_e, w in sorted(groups, key=lambda key: (key[1], key[0]))
-    }
+    for mp, rest, u in members:
+        for p, t in reversed(packed[charges[-1] % e, rest]):
+            groups.setdefault(u + t, []).append(mp + (p,))
+    labels = sorted((_runner_counts(x[0], charges, e, l)[::-1], x) for x in groups.values())
+    return {BlockId(s_e, w, e, l, sum(charges)): tuple(x) for (w, s_e), x in labels}
 
 
 def uglov_set(charges, e, n):
@@ -305,16 +323,27 @@ def realize_multicharge(start, target, e):
 
 
 def reachable_multicharges(start, e, bound):
-    """Core charge tuples of every multipartition of size at most `bound`:
-    the level_multicharge of each distinct block label's runner charges."""
+    """Core charges of every multipartition of size at most `bound`: the
+    level_multicharge of each runner-charge tuple s_e that a DP over the
+    components reaches.  Each offers its distinct runner-count changes
+    (quotients._row_tally) at the least size making them, and each sum keeps
+    the least size reaching it.  Test oracle: reachable_by_enumeration."""
     start = _charge_tuple(start)
     bound = _as_int(bound, 0, "the size bound must be nonnegative")
     e = check_modulus(e)
     _require_domain(start, e)
-    l = len(start)
-    runner_charges = {
-        _runner_counts(mp, start, e, l)[0]
-        for n in range(bound + 1)
-        for mp in multipartitions_of(n, l)
-    }
-    return frozenset(level_multicharge(s_e, e, l) for s_e in runner_charges)
+    reach = {_empty_label(start, e, len(start))[0]: 0}  # runner counts: least size reaching them
+    for s in start:
+        offers = {}  # sizes ascending, so the first size seen is the least
+        for k in range(bound + 1):
+            for p in partition_list(k):
+                offers.setdefault(tuple(_row_tally(p, s, e)[0]), k)
+        step = {}
+        for u, size in reach.items():
+            for t, k in offers.items():
+                if size + k > bound:
+                    break
+                v = tuple(map(operator.add, u, t))
+                step[v] = min(size + k, step.get(v, bound))
+        reach = step
+    return frozenset(level_multicharge(s_e, e, len(start)) for s_e in reach)

@@ -176,12 +176,15 @@ def partitions_of(n, max_part=None):
 
 
 def _partitions_of(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in _partitions_of(n - first, min(first, n - first)):
-            yield (first,) + rest
+    """Reverse lexicographic on a stack: pop the 1s and the k above; refill greedily with k-1s."""
+    stack, rest, k = [], n, max_part if n else 1
+    while k > 0:
+        stack += [k] * (rest // k) + [rest % k] * (rest % k > 0)
+        yield tuple(stack)
+        ones = stack.count(1)
+        del stack[len(stack) - ones:]
+        k = stack.pop() - 1 if stack else 0
+        rest = ones + k + 1
 
 
 @lru_cache(maxsize=32)

@@ -21,12 +21,12 @@ bead with one floor division (its k) and one lookup in a residue table
 cached per (source, target, e, l).  Charges are recovered as bottom + bead
 count (_symbols), which keeps every map exact on finite data.
 
-Block labels, the generalized core's runner charges and its weight are
-closed forms read off the rows (_runner_counts): each row moves one bead
-of the empty symbol, which changes two runner counts of the transpose by
-one and its position sum by a floor-division difference.  No window is
-built and no elementary move is simulated (the move-by-move fixed point
-is the test oracle generalized_core_by_moves in tests/oracle.py).
+Block labels, the generalized core's runner charges and its weight are closed
+forms read off the rows (_runner_counts): each row moves one bead of the empty
+symbol, changing two runner counts of the transpose by one and its position sum
+by a floor-division difference, so a label is the empty symbol's plus one tally
+per component (_row_tally).  No window is built and no elementary move is
+simulated (the move-by-move fixed point is the oracle generalized_core_by_moves).
 """
 
 import operator
@@ -175,6 +175,18 @@ def _empty_label(charges, e, l):
     return tuple(counts), total
 
 
+def _row_tally(p, s, e):
+    """Runner-count changes and rise of the rows of p at charge s, alike for s mod e."""
+    counts, rise, old = [0] * e, 0, s
+    for part in p:
+        old -= 1
+        counts[old % e] -= 1
+        new = old + part
+        counts[new % e] += 1
+        rise += new // e - old // e
+    return counts, rise
+
+
 def _runner_counts(mp, charges, e, l):
     """The runner charges s_e and the size |mp_e| of the level-rank
     transpose of validated symbols, read off their rows.
@@ -187,36 +199,32 @@ def _runner_counts(mp, charges, e, l):
     k >= 0 exactly when v >= 0, so both tallies run on the level abacus.
     The empty component at charge s holds the beads v < s: -((c - s) // e)
     on runner c, at positions summing to d*s + l*(e*q*(q-1)/2 + r*q),
-    (q, r) = divmod(s, e) (_empty_label).  Row a, of part p_a, moves one
-    bead from old = s - a to new = old + p_a: runner old % e loses one,
-    new % e gains one, and the sum rises by l*(new // e - old // e).
+    (q, r) = divmod(s, e) (_empty_label).  Row a, of part p_a, moves one bead
+    from old = s - a to new = old + p_a (_row_tally): runner old % e loses one,
+    new % e gains one, and the sum rises by l*(new // e - old // e).  The counts
+    sum to m = sum(charges), so the N(N-1)/2 add up to (sum of N^2 - m) / 2.
     Test oracle: block_label_by_relabel in tests/oracle.py.
     """
     counts, total = _empty_label(charges, e, l)
-    counts, rise = list(counts), 0
     for p, s in zip(mp, charges):
-        for old, part in zip(range(s - 1, s - 1 - len(p), -1), p):
-            new = old + part
-            counts[old % e] -= 1
-            counts[new % e] += 1
-            rise += new // e - old // e
-    return tuple(counts), total + l * rise - sum(n * (n - 1) // 2 for n in counts)
+        if p:
+            changes, rise = _row_tally(p, s, e)
+            counts = map(operator.add, counts, changes)
+            total += l * rise
+    counts = tuple(counts)
+    return counts, total - (sum(map(operator.mul, counts, counts)) - sum(charges)) // 2
 
 
 def in_closed_domain(charges, e):
     """Weakly increasing charges whose spread is at most e."""
-    charges = _charge_tuple(charges)
-    return all(a <= b for a, b in zip(charges, charges[1:])) and (
-        charges[-1] - charges[0] <= e
-    )
+    charges, e = _charge_tuple(charges), check_modulus(e)
+    return not any(map(operator.gt, charges, charges[1:])) and charges[-1] - charges[0] <= e
 
 
 def in_strict_domain(charges, e):
     """Weakly increasing charges whose spread is strictly less than e."""
-    charges = _charge_tuple(charges)
-    return all(a <= b for a, b in zip(charges, charges[1:])) and (
-        charges[-1] - charges[0] < e
-    )
+    charges, e = _charge_tuple(charges), check_modulus(e)
+    return not any(map(operator.gt, charges, charges[1:])) and charges[-1] - charges[0] < e
 
 
 def _require_domain(charges, e):

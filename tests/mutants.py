@@ -80,6 +80,29 @@ MUTANTS = (
         (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
          BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
     ),
+    # block labels summed from per-component row tallies
+    (
+        "blocks-column-unsorted",
+        "blocks.py",
+        "column = sorted((p, k, t) for k in sizes for p, t in packed[s % e, k])",
+        "column = list((p, k, t) for k in sizes for p, t in packed[s % e, k])",
+        (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",),
+    ),
+    (
+        "reachable-keeps-the-first-size",
+        "blocks.py",
+        "step[v] = min(size + k, step.get(v, bound))",
+        "step.setdefault(v, size + k)",
+        (BLOCKS + "test_reachable_matches_the_enumeration_oracle",),
+    ),
+    (
+        "row-tally-drops-the-rise",
+        "quotients.py",
+        "    return counts, rise\n",
+        "    return counts, 0\n",
+        (BLOCKS + "test_block_label_matches_the_relabel_route_exhaustively",
+         BLOCKS + "test_block_id_matches_the_long_route_exhaustively"),
+    ),
     # the cli.run memo and the boundary checks that came with it
     (
         "memo-no-eviction",

@@ -21,7 +21,10 @@ the pairing, and act_charge_e_by_letters applies each letter of the left
 action by its own formula, where the library reads both mirrored cases
 through a sign.  orbit_equivalent_by_search walks the orbit of a block
 label's core charges under s_0, ..., s_{e-1} instead of comparing the
-level_multicharge invariant.
+level_multicharge invariant.  blocks_of_by_labels and
+reachable_by_enumeration (with runner_charges_by_enumeration) label every
+multipartition with block_id, the per-member loops the library replaced by
+sums of per-component row tallies.
 Speed does not matter; clarity does.
 """
 
@@ -31,8 +34,10 @@ from abacore import (
     BlockId,
     GeneralizedCore,
     act_charge_e,
+    block_id,
     count_nodes_by_residue,
     e_tilde,
+    level_multicharge,
     level_rank_transpose,
     tau_e_inverse,
 )
@@ -203,6 +208,51 @@ def flotw_grid(max_e, sizes):
 # 1135 cases in tier-1; the wide grid runs in tests/wide_agreement.py
 FLOTW_GRID = {"max_e": 5, "sizes": (14, 9, 6, 5)}
 WIDE_FLOTW_GRID = {"max_e": 6, "sizes": (22, 14, 9, 7)}
+
+
+def shifted_grid(max_e, sizes):
+    """Every case of flotw_grid, and the same with its charges moved by -3
+    (negative charges, and other residues mod e unless e = 3): the grids
+    blocks_of (at size n) and reachable_multicharges (at bound n) are
+    checked on."""
+    for charges, e, n in flotw_grid(max_e, sizes):
+        yield charges, e, n
+        yield tuple(c - 3 for c in charges), e, n
+
+
+# 496 and 644 cases in tier-1; the wide grids run in tests/wide_agreement.py
+BLOCKS_GRID = {"max_e": 4, "sizes": (7, 6, 5)}
+REACH_GRID = {"max_e": 4, "sizes": (7, 7, 7)}
+WIDE_BLOCKS_GRID = {"max_e": 6, "sizes": (16, 12, 10)}
+WIDE_REACH_GRID = {"max_e": 5, "sizes": (11, 10, 9)}
+
+
+def blocks_of_by_labels(n, charges, e):
+    """blocks_of by labelling every multipartition of n with block_id, then
+    sorting the blocks by (weight, core charges) and each block's members."""
+    groups = {}
+    for mp in multipartitions_of(n, len(charges)):
+        groups.setdefault(block_id(mp, charges, e), []).append(mp)
+    order = sorted(groups, key=lambda b: (b.weight, b.core_multicharge))
+    return {b: tuple(sorted(groups[b])) for b in order}
+
+
+def runner_charges_by_enumeration(start, e, bound):
+    """The runner charges (block_id's core_multicharge) of every
+    multipartition of size at most bound, which reachable_multicharges
+    reads level_multicharge off."""
+    return {
+        block_id(mp, start, e).core_multicharge
+        for n in range(bound + 1)
+        for mp in multipartitions_of(n, len(start))
+    }
+
+
+def reachable_by_enumeration(start, e, bound):
+    """reachable_multicharges as the level_multicharge of every
+    runner_charges_by_enumeration."""
+    s_es = runner_charges_by_enumeration(start, e, bound)
+    return frozenset(level_multicharge(s_e, e, len(start)) for s_e in s_es)
 
 
 def is_scopes_by_diagram(b, i):

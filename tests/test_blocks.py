@@ -83,6 +83,18 @@ def test_blocks_of_example():
         assert members == tuple(sorted(members))
 
 
+def test_blocks_of_matches_the_label_oracle_exhaustively():
+    # whole dicts in order, so the block order and the member order count;
+    # every closed-domain pattern with l <= 3, e <= 4 and n <= 6, 5, 4 by level
+    checked = 0
+    for charges, e, n in oracle.shifted_grid(**oracle.BLOCKS_GRID):
+        got = blocks_of(n, charges, e)
+        assert list(got.items()) == list(oracle.blocks_of_by_labels(n, charges, e).items()), (
+            n, charges, e)
+        checked += 1
+    assert checked == 496
+
+
 def test_blocks_partition_everything():
     for e in (2, 3):
         for n in range(6):
@@ -351,6 +363,21 @@ def test_realize_checks_its_runner_targets(monkeypatch):
 
 def test_reachable_example():
     assert reachable_multicharges((0, 0), 3, 2) == {(-1, 1), (0, 0)}
+
+
+def test_reachable_matches_the_enumeration_oracle(monkeypatch):
+    # bounds 0-6 on every closed-domain pattern with l <= 3 and e <= 4
+    cases = list(oracle.shifted_grid(**oracle.REACH_GRID))
+    for charges, e, bound in cases:
+        want = oracle.reachable_by_enumeration(charges, e, bound)
+        assert reachable_multicharges(charges, e, bound) == want, (charges, e, bound)
+    # level_multicharge can hide a runner-charge tuple the DP missed behind
+    # another of its orbit, so check the runner charges themselves too
+    monkeypatch.setattr(abacore.blocks, "level_multicharge", lambda s_e, e, l: s_e)
+    for charges, e, bound in cases:
+        want = oracle.runner_charges_by_enumeration(charges, e, bound)
+        assert reachable_multicharges(charges, e, bound) == want, (charges, e, bound)
+    assert len(cases) == 644
 
 
 def test_reachable_stays_in_domain():

@@ -34,6 +34,20 @@ def test_partitions_are_partitions():
             assert all(x > 0 for x in p)
 
 
+def test_partitions_keep_their_order():
+    # largest first part first, against the recursive reference
+    for n in range(16):
+        for max_part in range(-1, n + 2):
+            want = list(oracle.partitions_of(n, max(max_part, 0) if n else max_part))
+            assert list(partitions_of(n, max_part)) == want, (n, max_part)
+
+
+def test_partitions_do_not_recurse_per_part():
+    assert list(partitions_of(3000, 1)) == [(1,) * 3000]
+    assert next(partitions_of(10**6)) == (10**6,)
+    assert next(partitions_of(3001, 2)) == (2,) * 1500 + (1,)
+
+
 def test_multipartition_counts():
     # level-l count is the convolution of p(n)
     p = [sum(1 for _ in partitions_of(n)) for n in range(9)]

@@ -25,6 +25,7 @@ from abacore import (
     tau_l_inverse,
 )
 from abacore.partitions import mp_size, multipartitions_of, partitions_of, size
+from abacore.quotients import _empty_label, _row_tally, _runner_counts
 
 import oracle
 
@@ -301,3 +302,24 @@ def test_range_messages_are_kept():
 def test_domain_predicates_reject_empty_charges(predicate):
     with pytest.raises(ValueError):
         predicate((), 2)
+
+
+@pytest.mark.parametrize("predicate", [in_closed_domain, in_strict_domain])
+@pytest.mark.parametrize("e", [2.5, True, "x", 1])
+def test_domain_predicates_check_the_modulus(predicate, e):
+    with pytest.raises(ValueError):
+        predicate((0, 1), e)
+
+
+def test_row_tallies_sum_to_the_runner_counts():
+    # the empty symbol's label plus one _row_tally per component
+    for mp, charges, e in oracle.bead_grid(**oracle.LABEL_GRID):
+        l = len(mp)
+        counts, total = _empty_label(charges, e, l)
+        counts = list(counts)
+        for p, s in zip(mp, charges):
+            changes, rise = _row_tally(p, s, e)
+            counts = [a + b for a, b in zip(counts, changes)]
+            total += l * rise
+        weight = total - sum(n * (n - 1) // 2 for n in counts)
+        assert _runner_counts(mp, charges, e, l) == (tuple(counts), weight), (mp, charges, e)

@@ -1,5 +1,6 @@
-"""The crystal, the duality transport, the orbit test and the Uglov set
-generator against their oracles on the wide grids.
+"""The crystal, the duality transport, the orbit test, the Uglov set
+generator, blocks_of and reachable_multicharges against their oracles on the
+wide grids.
 
     PYTHONPATH=src:tests python tests/wide_agreement.py
 
@@ -8,17 +9,33 @@ and sigma_star are checked against the diagram-cell route and
 duality_transport against the transpose route.  orbit_equivalent is checked
 against the orbit search on the 63273 label pairs of oracle.WIDE_ORBIT_GRID.
 uglov_set is checked against the FLOTW filter on the 2615 cases of
-oracle.WIDE_FLOTW_GRID (l <= 4, e <= 6, n up to 21 at l = 1).  The tier-1
-tests run the same checks on the smaller oracle.CRYSTAL_GRID,
-oracle.ORBIT_GRID and oracle.FLOTW_GRID; this script takes about twenty
-seconds and runs as its own CI job.  It prints one line per check and exits
-1 at the first mismatch.
+oracle.WIDE_FLOTW_GRID (l <= 4, e <= 6, n up to 21 at l = 1).  blocks_of is
+checked, as whole dicts in order, against labelling every member on the
+2360 cases of oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID) (l <= 3,
+e <= 6, n up to 15, 11 and 9 by level), and reachable_multicharges against
+enumeration on the 1384 cases of oracle.shifted_grid(**oracle.WIDE_REACH_GRID)
+(e <= 5, bounds up to 10, 9 and 8 by level), once as is and once with
+level_multicharge as the identity, which checks the runner charges it is
+read from (2768 checks).  The tier-1 tests run the same checks on the
+smaller oracle.CRYSTAL_GRID, ORBIT_GRID, FLOTW_GRID, BLOCKS_GRID and
+REACH_GRID; this script takes about fifteen seconds and runs as its own CI
+job.  It prints one line per check and exits 1 at the first mismatch.
 """
 
 import sys
 
+import abacore.blocks
 import oracle
-from abacore import duality_transport, i_signature, orbit_equivalent, sigma_star, uglov_set
+from abacore import (
+    blocks_of,
+    duality_transport,
+    i_signature,
+    level_multicharge,
+    orbit_equivalent,
+    reachable_multicharges,
+    sigma_star,
+    uglov_set,
+)
 
 
 def crystal():
@@ -47,8 +64,30 @@ def flotw():
         yield (charges, e, n), uglov_set(charges, e, n), oracle.uglov_set_by_filter(charges, e, n)
 
 
+def blocks():
+    for charges, e, n in oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID):
+        got, want = blocks_of(n, charges, e), oracle.blocks_of_by_labels(n, charges, e)
+        yield (n, charges, e), list(got.items()), list(want.items())
+
+
+def reachable():
+    # with level_multicharge as the identity, reachable_multicharges gives
+    # the runner charges themselves, which are checked too
+    cases = list(oracle.shifted_grid(**oracle.WIDE_REACH_GRID))
+    for charges, e, bound in cases:
+        got = reachable_multicharges(charges, e, bound)
+        yield (charges, e, bound), got, oracle.reachable_by_enumeration(charges, e, bound)
+    abacore.blocks.level_multicharge = lambda s_e, e, l: s_e
+    try:
+        for charges, e, bound in cases:
+            got = reachable_multicharges(charges, e, bound)
+            yield (charges, e, bound), got, oracle.runner_charges_by_enumeration(charges, e, bound)
+    finally:
+        abacore.blocks.level_multicharge = level_multicharge
+
+
 def main():
-    for check in (crystal, transport, orbit, flotw):
+    for check in (crystal, transport, orbit, flotw, blocks, reachable):
         count = 0
         for case, got, want in check():
             if got != want:

@@ -33,6 +33,7 @@ from .quotients import _move, _relabel, _symbols, _windows
 def parse_word(word, rank):
     """Normalize a group word to a tuple of canonical tokens: "t", "T" and
     "s%d" for an index of ASCII digits below rank."""
+    rank = _as_int(rank)
     try:
         word = tuple(word.split() if isinstance(word, str) else word)
     except TypeError:

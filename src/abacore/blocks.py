@@ -241,7 +241,11 @@ def level_multicharge(s_e, e, l):
     them.
     """
     s_e = as_charges(s_e, check_modulus(e))
-    l = _as_int(l, 1, "the level l must be at least 1")
+    return _level_multicharge(s_e, _as_int(l, 1, "the level l must be at least 1"))
+
+
+def _level_multicharge(s_e, l):
+    """level_multicharge of validated runner charges and level."""
     return tuple(sum((s + j) // l for s in s_e) for j in range(l))
 
 
@@ -253,7 +257,10 @@ def orbit_equivalent(b1, b2, l):
         raise ValueError("context mismatch")
     s1, w1, e = _check_block(b1, l)
     s2, w2, _ = _check_block(b2, l)
-    return w1 == w2 and level_multicharge(s1, e, l) == level_multicharge(s2, e, l)
+    if w1 != w2:
+        return False
+    l = _as_int(l, 1, "the level l must be at least 1")
+    return _level_multicharge(s1, l) == _level_multicharge(s2, l)
 
 
 def realize_multicharge(start, target, e):
@@ -333,17 +340,18 @@ def reachable_multicharges(start, e, bound):
     e = check_modulus(e)
     _require_domain(start, e)
     reach = {_empty_label(start, e, len(start))[0]: 0}  # runner counts: least size reaching them
-    for s in start:
-        offers = {}  # sizes ascending, so the first size seen is the least
-        for k in range(bound + 1):
+    offers = {r: {} for r in {s % e for s in start}}  # tallies go by the charge mod e
+    for r, offer in offers.items():
+        for k in range(bound + 1):  # sizes ascending, so the first size seen is the least
             for p in partition_list(k):
-                offers.setdefault(tuple(_row_tally(p, s, e)[0]), k)
+                offer.setdefault(tuple(_row_tally(p, r, e)[0]), k)
+    for s in start:
         step = {}
         for u, size in reach.items():
-            for t, k in offers.items():
+            for t, k in offers[s % e].items():
                 if size + k > bound:
                     break
                 v = tuple(map(operator.add, u, t))
                 step[v] = min(size + k, step.get(v, bound))
         reach = step
-    return frozenset(level_multicharge(s_e, e, len(start)) for s_e in reach)
+    return frozenset(_level_multicharge(s_e, len(start)) for s_e in reach)

@@ -13,13 +13,22 @@ comma-separated integers, group words are space-separated tokens
 values without escaping; a token starting with ``--`` is never taken as a
 flag value, so a flag missing its value is a usage error.
 
-The subcommands are rows of one table, ``_COMMANDS``.  A plain call, a
-subcommand name followed only by ``--json`` and exact ``--flag value`` pairs
-with each flag once, is read straight off the table and builds no parser.
-argparse is built only for help, usage errors and irregular forms
-(abbreviated flags, ``--flag=value``, repeats, ``--``): a subcommand's own
-parser when the first argument names one, else the parser with all of them,
-each built once per process and reused.
+The table ``_COMMANDS`` is the CLI's only description of its subcommands.
+A row is a name, a help text, flags, a compute step and a text renderer.
+A flag is (name, argparse keywords, text parser): ints convert by
+argparse's ``type=int``, other values by parse_partition, parse_mp or
+parse_charges, or stay text (parser None).  The compute step takes the
+flag values in row order and returns the JSON payload; the renderer gives
+the plain text, by default one "key: value" line per entry.
+
+_answer runs four stages.  (1) Read the argv into a dict of values: a
+plain call (a subcommand name, then only ``--json`` and exact ``--flag
+value`` pairs, each flag once) straight off the table, any other argv by
+argparse, which alone gives help and usage errors: the named subcommand's
+own parser, else the parser with all of them, each built once per process.
+(2) Parse the text values in row order, after the read's missing-flag and
+int errors; all of these exit 1.  (3) Compute; a library ValueError exits
+2.  (4) Serialize: JSON under ``--json``, else the row's renderer.
 
 Repeated in-process calls are answered from a memo: ``run`` keeps each
 finished (code, text) answer, usage and domain errors included, under the
@@ -35,18 +44,12 @@ import io
 import json
 import sys
 import threading
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from .abacus import render_abacus
-from .actions import (
-    act_charge_e,
-    act_charge_l,
-    duality_transport,
-    psi,
-    sigma_ordinary,
-    sigma_star,
-)
+from .actions import act_charge_e, act_charge_l, duality_transport, psi, sigma_ordinary, sigma_star
 from .blocks import (
     BlockId,
     block_action,
@@ -110,12 +113,12 @@ def parse_charges(text):
 
 def parse_window(text):
     lo, sep, hi = str(text).partition(":")
-    if not sep:
-        raise UsageError(f"window must look like lo:hi, got {text!r}")
     try:
-        return int(lo), int(hi)
+        if sep:
+            return int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"window must look like lo:hi, got {text!r}") from None
+        pass
+    raise UsageError(f"window must look like lo:hi, got {text!r}")
 
 
 def _merge_negative_values(argv):
@@ -140,10 +143,6 @@ def _merge_negative_values(argv):
         else:
             out.append(tok)
     return out
-
-
-def _node_json(node):
-    return None if node is None else node._asdict()
 
 
 def _text_value(v):
@@ -174,178 +173,62 @@ def _text_lines(payload):
     return "\n".join(f"{k}: {_text_value(v)}" for k, v in payload.items())
 
 
-def _cmd_core(a):
-    return core_data(parse_partition(a.partition), a.m, a.e)._asdict()
+def _sized_lines(payload):
+    """A {"size": N, key: items} payload as "size: N", then one item a line."""
+    size, items = payload.values()
+    return "\n".join([f"size: {size}", *map(_text_value, items)])
 
 
-def _cmd_quotient(a):
-    quotient, charges = tau_e(parse_partition(a.partition), a.m, a.e)
-    return {"quotient": quotient, "core_multicharge": charges}
+def _sized(key, items):
+    items = sorted(items)
+    return {"size": len(items), key: items}
 
 
-def _cmd_uglov(a):
-    mp, charges = tau_l(parse_partition(a.partition), a.m, a.e, a.l)
-    return {"mp": mp, "charges": charges}
+def _blocks_lines(payload):
+    lines = []
+    for entry in payload:
+        lines.append(f"block: {_text_value(entry['block'])}")
+        lines.extend("  " + _text_value(mp) for mp in entry["members"])
+    return "\n".join(lines)
 
 
-def _cmd_from_quotient(a):
-    p, m = tau_e_inverse(parse_mp(a.quotient), parse_charges(a.charges))
-    return {"partition": p, "m": m}
+def _nodes(mp, charges, e, i):
+    addable, removable = boundary_nodes(mp, charges, e, i)
+    sig = i_signature(mp, charges, e, i)
+    return {"addable": [n._asdict() for n in addable],
+            "removable": [n._asdict() for n in removable],
+            "word": sig.word, "reduced": sig.reduced_word,
+            "good_addable": sig.good_addable and sig.good_addable._asdict(),
+            "good_removable": sig.good_removable and sig.good_removable._asdict()}
 
 
-def _cmd_transpose(a):
-    mp_e, s_e = level_rank_transpose(parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": mp_e, "charges": s_e}
-
-
-def _cmd_gencore(a):
-    return generalized_core(parse_mp(a.mp), parse_charges(a.charges), a.e)._asdict()
-
-
-def _cmd_weight(a):
-    g = generalized_core(parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"weight": g.weight}
-
-
-def _cmd_iscore(a):
-    return {"is_core": is_core(parse_mp(a.mp), parse_charges(a.charges), a.e)}
-
-
-def _cmd_nodes(a):
-    mp, charges = parse_mp(a.mp), parse_charges(a.charges)
-    addable, removable = boundary_nodes(mp, charges, a.e, a.i)
-    sig = i_signature(mp, charges, a.e, a.i)
-    return {
-        "addable": [_node_json(n) for n in addable],
-        "removable": [_node_json(n) for n in removable],
-        "word": sig.word,
-        "reduced": sig.reduced_word,
-        "good_addable": _node_json(sig.good_addable),
-        "good_removable": _node_json(sig.good_removable),
-    }
-
-
-def _cmd_render(a):
-    mp, charges = parse_mp(a.mp), parse_charges(a.charges)
+def _render(mp, charges, window):
+    # the window is parsed only here, after the length check
     if len(charges) != len(mp):
         raise ValueError("charges do not match the number of components")
-    if a.window is not None:
-        lo, hi = parse_window(a.window)
+    if window is not None:
+        lo, hi = parse_window(window)
     else:
         lo = min(s - len(p) for p, s in zip(mp, charges)) - 2
         hi = max(s - 1 + (p[0] if p else 0) for p, s in zip(mp, charges)) + 2
     art = render_abacus([Symbol(p, s) for p, s in zip(mp, charges)], (lo, hi))
-    return {"window": [lo, hi], "lines": art.split("\n")}, art
+    return {"window": [lo, hi], "lines": art.split("\n")}
 
 
-def _cmd_act_e(a):
-    return {"charges": act_charge_e(a.word, parse_charges(a.charges), a.l)}
+def _duality_check(i, mp, charges, e):
+    star, transport = sigma_star(i, mp, charges, e), duality_transport(i, mp, charges, e)
+    return {"star": star, "transport": transport, "agree": star == transport}
 
 
-def _cmd_act_l(a):
-    return {"charges": act_charge_l(parse_charges(a.charges), a.word, a.e)}
+def _realize(start, target, e):
+    witness = realize_multicharge(start, target, e)
+    g = generalized_core(witness, start, e)
+    return {"witness": witness, "core_charges": g.core_charges, "weight": g.weight}
 
 
-def _cmd_psi(a):
-    mp, charges = psi(parse_mp(a.mp), parse_charges(a.charges), a.word, a.e)
-    return {"mp": mp, "charges": charges}
-
-
-def _cmd_sigma(a):
-    mp = sigma_ordinary(a.i, parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": mp}
-
-
-def _cmd_star(a):
-    mp = sigma_star(a.i, parse_mp(a.mp), parse_charges(a.charges), a.e)
-    return {"mp": mp}
-
-
-def _cmd_duality_check(a):
-    mp, charges = parse_mp(a.mp), parse_charges(a.charges)
-    star = sigma_star(a.i, mp, charges, a.e)
-    transport = duality_transport(a.i, mp, charges, a.e)
-    return {
-        "star": star,
-        "transport": transport,
-        "agree": star == transport,
-    }
-
-
-def _cmd_block(a):
-    return block_id(parse_mp(a.mp), parse_charges(a.charges), a.e)._asdict()
-
-
-def _cmd_blocks(a):
-    decomposition = blocks_of(a.n, parse_charges(a.charges), a.e)
-    payload = [
-        {"block": b._asdict(), "members": members}
-        for b, members in decomposition.items()
-    ]
-    if a.json:
-        return payload
-    lines = []
-    for entry in payload:
-        lines.append(f"block: {_text_value(entry['block'])}")
-        for mp in entry["members"]:
-            lines.append("  " + _text_value(mp))
-    return payload, "\n".join(lines)
-
-
-def _cmd_uglov_set(a):
-    members = sorted(uglov_set(parse_charges(a.charges), a.e, a.n))
-    payload = {"size": len(members), "members": members}
-    if a.json:
-        return payload
-    lines = [f"size: {len(members)}"]
-    lines.extend(map(_text_value, members))
-    return payload, "\n".join(lines)
-
-
-def _mk_block(core_text, weight, e, l):
-    core = parse_charges(core_text)
-    return BlockId(core, weight, e, l, sum(core))
-
-
-def _cmd_scopes(a):
-    b = _mk_block(a.core, a.weight, a.e, a.l)
-    return {"scopes": is_scopes(b, a.i, a.l)}
-
-
-def _cmd_block_act(a):
-    b = _mk_block(a.core, a.weight, a.e, a.l)
-    return block_action(a.word, b, a.l)._asdict()
-
-
-def _cmd_orbit_eq(a):
-    b1 = _mk_block(a.core_a, a.weight_a, a.e, a.l)
-    b2 = _mk_block(a.core_b, a.weight_b, a.e, a.l)
-    return {"equivalent": orbit_equivalent(b1, b2, a.l)}
-
-
-def _cmd_realize(a):
-    start = parse_charges(a.start)
-    witness = realize_multicharge(start, parse_charges(a.target), a.e)
-    g = generalized_core(witness, start, a.e)
-    return {
-        "witness": witness,
-        "core_charges": g.core_charges,
-        "weight": g.weight,
-    }
-
-
-def _cmd_reachable(a):
-    found = sorted(reachable_multicharges(parse_charges(a.start), a.e, a.bound))
-    payload = {"size": len(found), "charges": found}
-    if a.json:
-        return payload
-    lines = [f"size: {len(found)}"]
-    lines.extend(map(_text_value, found))
-    return payload, "\n".join(lines)
-
-
-def _flag(name, **kwargs):
-    return name, kwargs
+def _flag(name, parse=None, **kwargs):
+    """(name, argparse keywords with the dest spelled out, text parser or None)."""
+    return name, dict(kwargs, dest=name[2:].replace("-", "_")), parse
 
 
 _f_e = _flag("--e", type=int, required=True, help="modulus (at least 2)")
@@ -353,77 +236,98 @@ _f_l = _flag("--l", type=int, required=True, help="level")
 _f_m = _flag("--m", type=int, default=0, help="charge of the partition (default 0)")
 _f_i = _flag("--i", type=int, required=True, help="residue")
 _f_n = _flag("--n", type=int, required=True, help="total size")
-_f_partition = _flag("--partition", required=True, help="partition, e.g. 6,3,2,1,1")
-_f_mp = _flag("--mp", required=True, help="multipartition, e.g. 3,1|2,1")
-_f_charges = _flag("--charges", required=True, help="charge tuple, e.g. 0,-1,1")
+_f_part = _flag("--partition", parse_partition, required=True, help="partition, e.g. 6,3,2,1,1")
+_f_mp = _flag("--mp", parse_mp, required=True, help="multipartition, e.g. 3,1|2,1")
+_f_charges = _flag("--charges", parse_charges, required=True, help="charge tuple, e.g. 0,-1,1")
 _f_word = _flag("--word", required=True, help="group word, e.g. 's1 t T'")
 _f_weight = _flag("--weight", type=int, default=0, help="block weight (default 0)")
-_f_core = _flag("--core", required=True, help="core charge tuple")
-_f_start = _flag("--start", required=True, help="starting charge tuple")
+_f_core = _flag("--core", parse_charges, required=True, help="core charge tuple")
+_f_start = _flag("--start", parse_charges, required=True, help="starting charge tuple")
+_MP = (_f_mp, _f_charges, _f_e)  # a charged multipartition and its modulus
 
-# One (name, handler, help text, flags) row per subcommand, in --help order.
+
+_Command = namedtuple("_Command", "name help flags compute text", defaults=(_text_lines,))
+
+
+# One row per subcommand, in --help order.
 _COMMANDS = (
-    ("core", _cmd_core, "e-core data of a charged partition", (_f_partition, _f_m, _f_e)),
-    ("quotient", _cmd_quotient, "e-quotient and core charges of a charged partition",
-     (_f_partition, _f_m, _f_e)),
-    ("uglov", _cmd_uglov, "level-l decomposition of a charged partition",
-     (_f_partition, _f_m, _f_e, _f_l)),
-    ("from-quotient", _cmd_from_quotient,
-     "rebuild the charged partition from an e-quotient and core charges",
-     (_flag("--quotient", required=True, help="e-quotient, e.g. 2,1|2|2,1,1"), _f_charges)),
-    ("transpose", _cmd_transpose, "level-rank transpose of a charged multipartition",
-     (_f_mp, _f_charges, _f_e)),
-    ("gencore", _cmd_gencore, "generalized e-core, core charges and weight",
-     (_f_mp, _f_charges, _f_e)),
-    ("weight", _cmd_weight, "generalized-core weight", (_f_mp, _f_charges, _f_e)),
-    ("iscore", _cmd_iscore, "test whether the multipartition is a core", (_f_mp, _f_charges, _f_e)),
-    ("nodes", _cmd_nodes, "addable/removable i-nodes, signature and good nodes",
-     (_f_mp, _f_charges, _f_e, _f_i)),
-    ("render", _cmd_render, "draw the abacus of a charged multipartition",
-     (_f_mp, _f_charges,
-      _flag("--window", help="position window lo:hi (default: around the beads)"))),
-    ("act-e", _cmd_act_e, "left action of a group word on an e-charge tuple",
-     (_f_word, _f_charges, _f_l)),
-    ("act-l", _cmd_act_l, "right action of a group word on an l-charge tuple",
-     (_f_word, _f_charges, _f_e)),
-    ("psi", _cmd_psi, "component-level action of a group word on a charged multipartition",
-     (_f_word, _f_mp, _f_charges, _f_e)),
-    ("sigma", _cmd_sigma, "toggle all addable and removable i-nodes",
-     (_f_i, _f_mp, _f_charges, _f_e)),
-    ("star", _cmd_star, "crystal-side involution at residue i", (_f_i, _f_mp, _f_charges, _f_e)),
-    ("duality-check", _cmd_duality_check,
-     "compare the crystal-side involution with its transpose-side transport",
-     (_f_i, _f_mp, _f_charges, _f_e)),
-    ("block", _cmd_block, "block label of a charged multipartition", (_f_mp, _f_charges, _f_e)),
-    ("blocks", _cmd_blocks, "decompose all multipartitions of size n into blocks",
-     (_f_n, _f_charges, _f_e)),
-    ("uglov-set", _cmd_uglov_set, "multipartitions of size n reachable by adding good nodes",
-     (_f_charges, _f_e, _f_n)),
-    ("scopes", _cmd_scopes, "charge-gap test for blocks without addable i-nodes",
-     (_f_core, _f_weight, _f_e, _f_l, _f_i)),
-    ("block-act", _cmd_block_act, "act on a block label by a group word",
-     (_f_word, _f_core, _f_weight, _f_e, _f_l)),
-    ("orbit-eq", _cmd_orbit_eq, "whether two block labels lie in one orbit of the swap generators",
-     (_flag("--core-a", required=True, help="first core charge tuple"),
-      _flag("--core-b", required=True, help="second core charge tuple"),
-      _flag("--weight-a", type=int, default=0, help="first block weight (default 0)"),
-      _flag("--weight-b", type=int, default=0, help="second block weight (default 0)"),
-      _f_e, _f_l)),
-    ("realize", _cmd_realize, "multipartition charged at start whose core charges equal target",
-     (_f_start, _flag("--target", required=True, help="target core charge tuple"), _f_e)),
-    ("reachable", _cmd_reachable, "core charge tuples of all multipartitions up to a size bound",
-     (_f_start, _f_e,
-      _flag("--bound", type=int, required=True, help="largest multipartition size"))),
+    _Command("core", "e-core data of a charged partition", (_f_part, _f_m, _f_e),
+             lambda p, m, e: core_data(p, m, e)._asdict()),
+    _Command("quotient", "e-quotient and core charges of a charged partition",
+             (_f_part, _f_m, _f_e),
+             lambda p, m, e: dict(zip(("quotient", "core_multicharge"), tau_e(p, m, e)))),
+    _Command("uglov", "level-l decomposition of a charged partition", (_f_part, _f_m, _f_e, _f_l),
+             lambda p, m, e, l: dict(zip(("mp", "charges"), tau_l(p, m, e, l)))),
+    _Command("from-quotient", "rebuild the charged partition from an e-quotient and core charges",
+             (_flag("--quotient", parse_mp, required=True, help="e-quotient, e.g. 2,1|2|2,1,1"),
+              _f_charges),
+             lambda q, s_e: dict(zip(("partition", "m"), tau_e_inverse(q, s_e)))),
+    _Command("transpose", "level-rank transpose of a charged multipartition", _MP,
+             lambda mp, s, e: dict(zip(("mp", "charges"), level_rank_transpose(mp, s, e)))),
+    _Command("gencore", "generalized e-core, core charges and weight", _MP,
+             lambda mp, s, e: generalized_core(mp, s, e)._asdict()),
+    _Command("weight", "generalized-core weight", _MP,
+             lambda mp, s, e: {"weight": generalized_core(mp, s, e).weight}),
+    _Command("iscore", "test whether the multipartition is a core", _MP,
+             lambda mp, s, e: {"is_core": is_core(mp, s, e)}),
+    _Command("nodes", "addable/removable i-nodes, signature and good nodes", (*_MP, _f_i), _nodes),
+    _Command("render", "draw the abacus of a charged multipartition",
+             (_f_mp, _f_charges,
+              _flag("--window", help="position window lo:hi (default: around the beads)")),
+             _render, lambda payload: "\n".join(payload["lines"])),
+    _Command("act-e", "left action of a group word on an e-charge tuple",
+             (_f_word, _f_charges, _f_l),
+             lambda word, s, l: {"charges": act_charge_e(word, s, l)}),
+    _Command("act-l", "right action of a group word on an l-charge tuple",
+             (_f_word, _f_charges, _f_e),
+             lambda word, s, e: {"charges": act_charge_l(s, word, e)}),
+    _Command("psi", "component-level action of a group word on a charged multipartition",
+             (_f_word, *_MP),
+             lambda word, mp, s, e: dict(zip(("mp", "charges"), psi(mp, s, word, e)))),
+    _Command("sigma", "toggle all addable and removable i-nodes", (_f_i, *_MP),
+             lambda i, mp, s, e: {"mp": sigma_ordinary(i, mp, s, e)}),
+    _Command("star", "crystal-side involution at residue i", (_f_i, *_MP),
+             lambda i, mp, s, e: {"mp": sigma_star(i, mp, s, e)}),
+    _Command("duality-check",
+             "compare the crystal-side involution with its transpose-side transport",
+             (_f_i, *_MP), _duality_check),
+    _Command("block", "block label of a charged multipartition", _MP,
+             lambda mp, s, e: block_id(mp, s, e)._asdict()),
+    _Command("blocks", "decompose all multipartitions of size n into blocks",
+             (_f_n, _f_charges, _f_e),
+             lambda n, s, e: [{"block": b._asdict(), "members": members}
+                              for b, members in blocks_of(n, s, e).items()], _blocks_lines),
+    _Command("uglov-set", "multipartitions of size n reachable by adding good nodes",
+             (_f_charges, _f_e, _f_n), lambda s, e, n: _sized("members", uglov_set(s, e, n)),
+             _sized_lines),
+    _Command("scopes", "charge-gap test for blocks without addable i-nodes",
+             (_f_core, _f_weight, _f_e, _f_l, _f_i),
+             lambda s, w, e, l, i: {"scopes": is_scopes(BlockId(s, w, e, l, sum(s)), i, l)}),
+    _Command("block-act", "act on a block label by a group word",
+             (_f_word, _f_core, _f_weight, _f_e, _f_l),
+             lambda word, s, w, e, l: block_action(word, BlockId(s, w, e, l, sum(s)), l)._asdict()),
+    _Command("orbit-eq", "whether two block labels lie in one orbit of the swap generators",
+             (_flag("--core-a", parse_charges, required=True, help="first core charge tuple"),
+              _flag("--core-b", parse_charges, required=True, help="second core charge tuple"),
+              _flag("--weight-a", type=int, default=0, help="first block weight (default 0)"),
+              _flag("--weight-b", type=int, default=0, help="second block weight (default 0)"),
+              _f_e, _f_l),
+             lambda s, t, v, w, e, l: {"equivalent": orbit_equivalent(
+                 BlockId(s, v, e, l, sum(s)), BlockId(t, w, e, l, sum(t)), l)}),
+    _Command("realize", "multipartition charged at start whose core charges equal target",
+             (_f_start, _flag("--target", parse_charges, required=True,
+                              help="target core charge tuple"), _f_e), _realize),
+    _Command("reachable", "core charge tuples of all multipartitions up to a size bound",
+             (_f_start, _f_e,
+              _flag("--bound", type=int, required=True, help="largest multipartition size")),
+             lambda s, e, bound: _sized("charges", reachable_multicharges(s, e, bound)),
+             _sized_lines),
 )
-_NAMES = frozenset(name for name, *_ in _COMMANDS)
-
-
-def _add_command(parser, handler, flags):
-    for flag, kwargs in flags:
-        parser.add_argument(flag, **kwargs)
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.set_defaults(handler=handler)
-    return parser
+_ROWS = {row.name: row for row in _COMMANDS}
+_NAMES = frozenset(_ROWS)
+# (command, flag) -> (dest, int or None), for _plain_parse
+_FLAGS = {(row.name, flag): (kwargs["dest"], kwargs.get("type"))
+          for row in _COMMANDS for flag, kwargs, _ in row.flags}
 
 
 @lru_cache(maxsize=None)
@@ -434,44 +338,31 @@ def _build_parser(command=None):
     description and flags.  Keys are None and the table's names, and
     argparse does not mutate a parser while parsing, so each of these is
     built once per process and reused."""
-    if command is not None:
-        _, handler, help_text, flags = next(row for row in _COMMANDS if row[0] == command)
-        parser = _Parser(prog=f"abacore {command}", description=help_text)
-        return _add_command(parser, handler, flags)
-    parser = _Parser(prog="abacore", description="Command-line front end.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, handler, help_text, flags in _COMMANDS:
-        _add_command(sub.add_parser(name, help=help_text, description=help_text), handler, flags)
+    if command is None:
+        parser = _Parser(prog="abacore", description="Command-line front end.")
+        sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        parsers = [(sub.add_parser(row.name, help=row.help, description=row.help), row)
+                   for row in _COMMANDS]
+    else:
+        parser = _Parser(prog=f"abacore {command}", description=_ROWS[command].help)
+        parsers = [(parser, _ROWS[command])]
+    for each, row in parsers:
+        for flag, kwargs, _ in row.flags:
+            each.add_argument(flag, **kwargs)
+        each.add_argument("--json", action="store_true", help="emit JSON")
+        each.set_defaults(command=row.name)
     return parser
 
 
-@lru_cache(maxsize=len(_COMMANDS))
-def _plain_spec(command):
-    """What `command`'s parser knows, read off its table row: each flag's
-    dest and type, the names of the required flags, and the namespace
-    argparse starts from (each dest's default, None where the row gives
-    none, plus json=False and the handler)."""
-    _, handler, _, flags = next(row for row in _COMMANDS if row[0] == command)
-    dests, defaults = {}, {}
-    for flag, kwargs in flags:
-        dest = flag.lstrip("-").replace("-", "_")
-        dests[flag] = dest, kwargs.get("type")
-        defaults[dest] = kwargs.get("default")
-    defaults.update(json=False, handler=handler)
-    required = frozenset(flag for flag, kwargs in flags if kwargs.get("required"))
-    return dests, required, defaults
-
-
 def _plain_parse(argv):
-    """The namespace `argv[0]`'s parser would build from `argv[1:]`, when
-    every later token is --json or an exact flag name of that command
-    followed by one value, no flag repeats, a value starts with "-" only
-    where _merge_negative_values would join it, every int value converts
-    and every required flag is given; None for any other argv, which then
-    goes through argparse.  So this reader can decline but never disagree."""
-    dests, required, defaults = _plain_spec(argv[0])
-    values = dict(defaults)
-    seen = set()
+    """vars() of the namespace `argv[0]`'s parser would build from `argv[1:]`,
+    when every later token is --json or an exact flag of that command and
+    one value, no flag repeats, a value starts with "-" only where
+    _merge_negative_values would join it, every int converts and every
+    required flag is given; else None, and argparse reads the argv.  So
+    this reader can decline but never disagree."""
+    command = argv[0]
+    values, seen = {"command": command, "json": False}, set()
     pos, end = 1, len(argv)
     while pos < end:
         tok = argv[pos]
@@ -482,12 +373,12 @@ def _plain_parse(argv):
             values["json"] = True
             pos += 1
             continue
-        if tok not in dests or pos + 1 == end:
+        dest, kind = _FLAGS.get((command, tok), (None, None))
+        if dest is None or pos + 1 == end:
             return None
         value = argv[pos + 1]
         if value[:1] == "-" and not (len(value) == 1 or value[1].isdigit() or value[1] in ",|"):
             return None
-        dest, kind = dests[tok]
         if kind is not None:
             try:
                 value = kind(value)
@@ -495,9 +386,12 @@ def _plain_parse(argv):
                 return None
         values[dest] = value
         pos += 2
-    if not required <= seen:
-        return None
-    return argparse.Namespace(**values)
+    for flag, kwargs, _ in _ROWS[command].flags:
+        if flag not in seen:
+            if kwargs.get("required"):
+                return None
+            values[kwargs["dest"]] = kwargs.get("default")
+    return values
 
 
 class _Help(Exception):
@@ -561,11 +455,8 @@ def run(argv):
 
 
 def _answer(argv):
-    """run without the memo, for a tuple of strings.
-
-    A plain call of a subcommand (exact `--flag value` pairs and `--json`)
-    is read straight off the command table by _plain_parse.  Any other argv
-    goes through argparse, which alone gives help text and usage errors."""
+    """run without the memo, for a tuple of strings, in the four stages of
+    the module docstring: read, parse, compute, serialize."""
     args = _plain_parse(argv) if argv and argv[0] in _NAMES else None
     if args is None:
         argv = _merge_negative_values(argv)
@@ -585,18 +476,19 @@ def _answer(argv):
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0
             raise _Help(0 if code == 0 else 1, buf.getvalue().rstrip("\n")) from None
+        args = vars(args)
+    row = _ROWS[args["command"]]
     try:
-        result = args.handler(args)
+        values = [args[kwargs["dest"]] if parse is None else parse(args[kwargs["dest"]])
+                  for _, kwargs, parse in row.flags]
+        payload = row.compute(*values)
     except UsageError as exc:
         return 1, str(exc)
     except ValueError as exc:
         return 2, str(exc)
-    payload, text = result if isinstance(result, tuple) else (result, None)
-    if args.json:
+    if args["json"]:
         return 0, json.dumps(payload, separators=(",", ":"))
-    if text is None:
-        text = _text_lines(payload)
-    return 0, text
+    return 0, row.text(payload)
 
 
 def main(argv=None):

@@ -15,7 +15,14 @@ and Nodes are built only where a public function returns them.
 
 from typing import NamedTuple
 
-from .partitions import _check_residue, _checked
+from .partitions import (
+    _as_ints,
+    _check_residue,
+    _checked,
+    as_multipartition,
+    as_partition,
+    check_modulus,
+)
 from .quotients import _windows
 
 
@@ -25,32 +32,34 @@ class Node(NamedTuple):
     comp: int
 
 
+def _as_node(node):
+    """node as a Node of exact ints."""
+    if not isinstance(node, Node):
+        raise ValueError(f"not a node: {node!r}")
+    return Node(*_as_ints(node))
+
+
 def content(node, charges):
+    node, charges = _as_node(node), _as_ints(charges)
+    if node.comp not in range(len(charges)):
+        raise ValueError(f"no charge for component {node.comp}")
     return node.col - node.row + charges[node.comp]
 
 
 def residue(node, charges, e):
-    return content(node, charges) % e
+    return content(node, charges) % check_modulus(e)
 
 
 def addable_cells(p, comp=0):
     """Cells whose addition to p leaves a partition, top row first."""
-    cells = []
-    for a in range(1, len(p) + 2):
-        cur = p[a - 1] if a <= len(p) else 0
-        if a == 1 or p[a - 2] > cur:
-            cells.append(Node(a, cur + 1, comp))
-    return cells
+    p = (*as_partition(p), 0)
+    return [Node(a, k + 1, comp) for a, k in enumerate(p, 1) if a == 1 or p[a - 2] > k]
 
 
 def removable_cells(p, comp=0):
     """Cells whose removal from p leaves a partition, top row first."""
-    cells = []
-    for a in range(1, len(p) + 1):
-        below = p[a] if a < len(p) else 0
-        if p[a - 1] > below:
-            cells.append(Node(a, p[a - 1], comp))
-    return cells
+    p = (*as_partition(p), 0)
+    return [Node(a, k, comp) for a, k in enumerate(p[:-1], 1) if k > p[a]]
 
 
 def boundary_nodes(mp, charges, e, i):
@@ -152,32 +161,38 @@ def _signature(mp, charges, e, i):
     return Signature(tuple(pairs), tuple(pairs[k] for k in _reduce(letters)))
 
 
+def _cell(mp, node, cells):
+    """A multipartition and a node among the `cells` of its component, validated."""
+    mp, node = as_multipartition(mp), _as_node(node)
+    if node.comp not in range(len(mp)) or node not in cells(mp[node.comp], node.comp):
+        raise ValueError(f"{node!r} is not among the {cells.__name__} of {mp!r}")
+    return mp, node
+
+
+def _grow(mp, node, step):
+    """mp with the row of node lengthened by step: 1 adds it, -1 removes it."""
+    p = [*mp[node.comp], 0]
+    p[node.row - 1] += step
+    return mp[: node.comp] + (tuple(p[: len(p) - p.count(0)]),) + mp[node.comp + 1 :]
+
+
 def add_node(mp, node):
-    p = list(mp[node.comp])
-    if node.row == len(p) + 1:
-        p.append(1)
-    else:
-        p[node.row - 1] += 1
-    return mp[: node.comp] + (tuple(p),) + mp[node.comp + 1 :]
+    return _grow(*_cell(mp, node, addable_cells), 1)
 
 
 def remove_node(mp, node):
-    p = list(mp[node.comp])
-    p[node.row - 1] -= 1
-    if p[node.row - 1] == 0:
-        p.pop()
-    return mp[: node.comp] + (tuple(p),) + mp[node.comp + 1 :]
+    return _grow(*_cell(mp, node, removable_cells), -1)
 
 
 def e_tilde(i, mp, charges, e):
     """Add the good addable i-node; None when the reduced word has no A."""
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
     node = _signature(mp, charges, e, i).good_addable
-    return None if node is None else add_node(mp, node)
+    return None if node is None else _grow(mp, node, 1)
 
 
 def f_tilde(i, mp, charges, e):
     """Remove the good removable i-node; None when the reduced word has no R."""
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
     node = _signature(mp, charges, e, i).good_removable
-    return None if node is None else remove_node(mp, node)
+    return None if node is None else _grow(mp, node, -1)

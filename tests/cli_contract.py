@@ -59,11 +59,12 @@ def irregular_argvs(seed, count):
     unknown-command calls."""
     rng = random.Random(seed)
     out = [(), ("--help",), ("-h",), ("nosuch",), ("nosuch", "--json"), ("--json",)]
-    out += [(name, "--help") for name, *_ in cli._COMMANDS]
+    out += [(row.name, "--help") for row in cli._COMMANDS]
     forms = ["exact"] * 12 + ["drop", "repeat", "abbreviate", "bare", "equals"]
     for _ in range(count - len(out)):
-        name, _, _, flags = rng.choice(cli._COMMANDS)
-        tokens = [flag for flag, _ in flags] + ["--json"]
+        row = rng.choice(cli._COMMANDS)
+        name = row.name
+        tokens = [flag for flag, _, _ in row.flags] + ["--json"]
         rng.shuffle(tokens)
         argv = [name]
         for flag in tokens:

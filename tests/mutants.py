@@ -28,7 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = "tests/test_blocks.py::"
 CLI = "tests/test_cli.py::"
 PARTITIONS = "tests/test_partitions.py::"
+NODES = "tests/test_nodes.py::"
 NON_ITERABLE = PARTITIONS + "test_non_iterable_arguments_are_value_errors"
+ROW_ORDER = CLI + "test_text_values_are_parsed_after_argparse_in_row_order"
+REFUSED = NODES + "test_node_and_word_helpers_refuse_bad_input_with_value_errors"
 REGULAR_LISTS = (
     PARTITIONS + "test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first"
 )
@@ -165,6 +168,45 @@ MUTANTS = (
         "    lo, hi = window[0], window[1]\n",
         (PARTITIONS + "test_malformed_windows_and_symbols_are_value_errors[short-window]",
          PARTITIONS + "test_malformed_windows_and_symbols_are_value_errors[long-window]"),
+    ),
+    # the command table's stages: read, then the text values in row order
+    (
+        "text-values-parsed-in-reverse-row-order",
+        "cli.py",
+        "                  for _, kwargs, parse in row.flags]\n",
+        "                  for _, kwargs, parse in row.flags[::-1]][::-1]\n",
+        (ROW_ORDER,),
+    ),
+    (
+        "render-window-parsed-before-the-length-check",
+        "cli.py",
+        "    if len(charges) != len(mp):\n",
+        "    if window is not None:\n        parse_window(window)\n"
+        "    if len(charges) != len(mp):\n",
+        (ROW_ORDER,),
+    ),
+    (
+        "plain-reader-ignores-required",
+        "cli.py",
+        "            if kwargs.get(\"required\"):\n                return None\n",
+        "",
+        (ROW_ORDER, CLI + "test_cached_parser_matches_the_full_parser[core]"),
+    ),
+    # node and word helpers refuse bad input with ValueError
+    (
+        "parse-word-without-its-rank-check",
+        "actions.py",
+        "    rank = _as_int(rank)\n",
+        "",
+        (REFUSED + "[parse_word-1-2.5]", REFUSED + "[parse_word-1-'2']"),
+    ),
+    (
+        "node-off-the-rim-accepted",
+        "nodes.py",
+        "    if node.comp not in range(len(mp)) or node not in cells(mp[node.comp], node.comp):\n",
+        "    if node.comp not in range(len(mp)):\n",
+        (REFUSED + "[add_node-1-Node(row=1,col=2,comp=0)]",
+         REFUSED + "[remove_node-1-Node(row=1,col=1,comp=0)]"),
     ),
     # non-iterable arguments are ValueErrors at the public boundary
     (

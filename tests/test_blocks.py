@@ -373,7 +373,7 @@ def test_reachable_matches_the_enumeration_oracle(monkeypatch):
         assert reachable_multicharges(charges, e, bound) == want, (charges, e, bound)
     # level_multicharge can hide a runner-charge tuple the DP missed behind
     # another of its orbit, so check the runner charges themselves too
-    monkeypatch.setattr(abacore.blocks, "level_multicharge", lambda s_e, e, l: s_e)
+    monkeypatch.setattr(abacore.blocks, "_level_multicharge", lambda s_e, l: s_e)
     for charges, e, bound in cases:
         want = oracle.runner_charges_by_enumeration(charges, e, bound)
         assert reachable_multicharges(charges, e, bound) == want, (charges, e, bound)

@@ -17,6 +17,7 @@ from abacore import (
     i_signature,
     is_scopes,
     is_scopes_exhaustive,
+    parse_word,
     remove_node,
     removable_cells,
     residue,
@@ -168,3 +169,37 @@ def test_residue_counts(data):
         for (r, col) in oracle.cells(p):
             brute[(col - r + charges[c]) % e] += 1
     assert counts == tuple(brute)
+
+
+_BAD_NODES = [None, (1, 3, 0), Node(1.5, 3, 0), Node(1, 3, 2), Node(1, 3, -1)]
+_BAD_CHARGES = [None, 2, "x", (0.5, 1)]
+_BAD_PARTITIONS = [None, 3, (1, 2), (2.5,), (-1,)]
+_BAD_MPS = [None, 3, (), ((1, 2),)]
+# name -> (function, arguments it accepts, {argument position: values it must refuse})
+_BOUNDARY = {
+    "parse_word": (parse_word, ("s1 t", 2), {0: [None, 5, ["s1", 2]],
+                                            1: [2.5, "2", None, True]}),
+    "content": (content, (Node(1, 3, 0), (0, 1)), {0: _BAD_NODES, 1: _BAD_CHARGES}),
+    "residue": (residue, (Node(1, 3, 0), (0, 1), 3),
+                {0: _BAD_NODES, 1: _BAD_CHARGES, 2: [None, "3", 2.5, 1, True]}),
+    "addable_cells": (addable_cells, ((2, 1),), {0: _BAD_PARTITIONS}),
+    "removable_cells": (removable_cells, ((2, 1),), {0: _BAD_PARTITIONS}),
+    # a node off the diagram's rim, or of no component, is refused too
+    "add_node": (add_node, (((2, 1), ()), Node(1, 1, 1)),
+                 {0: _BAD_MPS, 1: [*_BAD_NODES, Node(1, 2, 0), Node(5, 1, 0), Node(1, 1, -1)]}),
+    "remove_node": (remove_node, (((2, 1), ()), Node(2, 1, 0)),
+                    {0: _BAD_MPS, 1: [*_BAD_NODES, Node(1, 1, 0), Node(3, 1, 0), Node(1, 1, 1)]}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, pos, bad",
+    [pytest.param(name, pos, bad, id=f"{name}-{pos}-{bad!r}".replace(" ", ""))
+     for name, (_, _, table) in _BOUNDARY.items()
+     for pos, values in table.items() for bad in values],
+)
+def test_node_and_word_helpers_refuse_bad_input_with_value_errors(name, pos, bad):
+    func, args, _ = _BOUNDARY[name]
+    func(*args)
+    with pytest.raises(ValueError):
+        func(*args[:pos], bad, *args[pos + 1:])

@@ -15,8 +15,8 @@ checked, as whole dicts in order, against labelling every member on the
 e <= 6, n up to 15, 11 and 9 by level), and reachable_multicharges against
 enumeration on the 1384 cases of oracle.shifted_grid(**oracle.WIDE_REACH_GRID)
 (e <= 5, bounds up to 10, 9 and 8 by level), once as is and once with
-level_multicharge as the identity, which checks the runner charges it is
-read from (2768 checks).  The tier-1 tests run the same checks on the
+blocks._level_multicharge as the identity, which checks the runner charges
+it is read from (2768 checks).  The tier-1 tests run the same checks on the
 smaller oracle.CRYSTAL_GRID, ORBIT_GRID, FLOTW_GRID, BLOCKS_GRID and
 REACH_GRID; this script takes about fifteen seconds and runs as its own CI
 job.  It prints one line per check and exits 1 at the first mismatch.
@@ -30,7 +30,6 @@ from abacore import (
     blocks_of,
     duality_transport,
     i_signature,
-    level_multicharge,
     orbit_equivalent,
     reachable_multicharges,
     sigma_star,
@@ -71,19 +70,20 @@ def blocks():
 
 
 def reachable():
-    # with level_multicharge as the identity, reachable_multicharges gives
-    # the runner charges themselves, which are checked too
+    # with blocks._level_multicharge as the identity, reachable_multicharges
+    # gives the runner charges themselves, which are checked too
     cases = list(oracle.shifted_grid(**oracle.WIDE_REACH_GRID))
     for charges, e, bound in cases:
         got = reachable_multicharges(charges, e, bound)
         yield (charges, e, bound), got, oracle.reachable_by_enumeration(charges, e, bound)
-    abacore.blocks.level_multicharge = lambda s_e, e, l: s_e
+    kept = abacore.blocks._level_multicharge
+    abacore.blocks._level_multicharge = lambda s_e, l: s_e
     try:
         for charges, e, bound in cases:
             got = reachable_multicharges(charges, e, bound)
             yield (charges, e, bound), got, oracle.runner_charges_by_enumeration(charges, e, bound)
     finally:
-        abacore.blocks.level_multicharge = level_multicharge
+        abacore.blocks._level_multicharge = kept
 
 
 def main():

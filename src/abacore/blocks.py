@@ -4,12 +4,15 @@ A block is labeled by the charge tuple of the e-core of the underlying partition
 and the quotient weight, read off the rows in closed form (quotients._runner_counts);
 two charged multipartitions lie in the same block exactly when those agree.  A label
 sums one row tally per component (quotients._row_tally): blocks_of adds them up over
-members in lexicographic order, reachable_multicharges by a DP.  The extended affine
-symmetric group acts on block labels through its action on the core charges, and
-orbits of that action are classified by an invariant computed on the level-l side.
+members in lexicographic order.  A tally depends only on the e-core, the least partition
+with it, so one DP over tuples of e-cores (_least_cores) gives reachable_multicharges
+and realize_multicharge.  The extended affine symmetric group acts on block labels
+through its action on the core charges, and orbits of that action are classified by an
+invariant computed on the level-l side.
 """
 
 import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 from .actions import act_charge_e, act_charge_l, psi
@@ -27,11 +30,11 @@ from .partitions import (
     partition_list,
 )
 from .quotients import (
+    _core_partition,
     _empty_label,
     _require_domain,
     _row_tally,
     _runner_counts,
-    _symbols,
     generalized_core,
     in_closed_domain,
 )
@@ -179,9 +182,7 @@ def is_scopes(b, i, l):
     """
     s, w, e = _check_block(b, l)
     i = _check_residue(i, e)
-    if i == 0:
-        return s[0] - s[e - 1] >= w + 1
-    return s[i] - s[i - 1] >= w
+    return s[i] - s[i - 1] >= w + (i == 0)  # s[-1] is s_{e-1}
 
 
 def is_scopes_exhaustive(b, i, l):
@@ -213,14 +214,13 @@ def _as_block(b):
 
 
 def _check_block(b, l):
-    """Core charges (anywhere, not only in the domain), weight and modulus
-    of a block label used at level l."""
+    """Core charges (in the domain or not), weight and modulus of a label used at level l."""
     e = check_modulus(_as_block(b).e)
     s = as_charges(b.core_multicharge, e)
     w = _as_int(b.weight, 0, "the block weight must be nonnegative")
     if b.m != sum(s):
         raise ValueError("the block charge m must be the sum of its core charges")
-    if b.l != l:
+    if b.l != _as_int(l, 1, "the level l must be at least 1"):
         raise ValueError("context mismatch")
     return s, w, e
 
@@ -257,101 +257,86 @@ def orbit_equivalent(b1, b2, l):
         raise ValueError("context mismatch")
     s1, w1, e = _check_block(b1, l)
     s2, w2, _ = _check_block(b2, l)
-    if w1 != w2:
-        return False
-    l = _as_int(l, 1, "the level l must be at least 1")
-    return _level_multicharge(s1, l) == _level_multicharge(s2, l)
+    return w1 == w2 and _level_multicharge(s1, l) == _level_multicharge(s2, l)
 
 
 def realize_multicharge(start, target, e):
     """Build a multipartition charged at `start` whose core charges are `target`.
 
-    The witness is assembled directly on the doubly indexed abacus.  Core
-    charges of a configuration depend only on its bead counts per e-runner,
-    level charges only on the counts per level bucket, so it suffices to
-    deform the empty configuration at `start` until its runner counts match
-    those of the target core while the bucket counts never change.  Each
-    step moves one bead from an overfull runner to an underfull one inside
-    a single bucket, choosing the cheapest such move, and drops the count
-    distance to the target by exactly two, so the loop ends.  The buckets
-    are filled from a full row below every charge, so each holds a bead on
-    every runner to move.  No proof that the greedy witness is smallest is
-    known; it is checked against enumeration on closed-domain charges of
-    sum -1, 0 or 1 with e <= 4 and l <= 3 (tests/test_blocks.py).  The counts
-    before the loop, each step's drop and the post-condition (through
-    generalized_core) are checked, raising RuntimeError.
+    The witness has the runner charges of the empty multipartition at `target`,
+    and is the least with them: they are the start's plus one change per
+    component, which depends only on its e-core, the unique least partition with
+    that change (removing a rim e-hook keeps it), so the least are tuples of
+    e-cores.  _least_cores is exact up to its bound, and the bounds 1, 2, 4, ...
+    stop at the size of the whole change put into one component, which reaches
+    it.  Ties go to the least component sizes, then changes.  No other runner
+    charges with these core charges give a smaller witness (checked by
+    enumeration in tests/test_blocks.py).  RuntimeError when the change does not
+    sum to 0 or is not reached, or the witness misses.
     """
     start = _charge_tuple(start)
-    l = len(start)
     target = _as_ints(target)
     e = check_modulus(e)
     _require_domain(start, e)
-    if len(target) != l or sum(target) != sum(start) or not in_closed_domain(target, e):
+    if len(target) != len(start) or sum(target) != sum(start) or not in_closed_domain(target, e):
         raise ValueError("unreachable multicharge")
-
-    runner_charges = _empty_label(target, e, l)[0]
-    bottom = e * (min((0,) + runner_charges + start) - 1)
-    need = [t - l * (bottom // e) for t in runner_charges]
-    buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]
-    counts = [0] * e
-    for vals in buckets:
-        for v in vals:
-            counts[v % e] += 1
-    if sum(counts) != sum(need) or min(need) < 0:
-        raise RuntimeError("realize: the runner targets do not fit the buckets")
-
-    while counts != need:
-        gap = sum(abs(a - b) for a, b in zip(counts, need))
-        c = next(q for q in range(e) if counts[q] > need[q])
-        cp = next(q for q in range(e) if counts[q] < need[q])
-        best = None
-        for d, vals in enumerate(buckets):
-            ours = [v for v in vals if v % e == c]
-            if not ours:
-                continue
-            out = max(ours)
-            add = bottom + (cp - bottom) % e
-            while add in vals:
-                add += e
-            if best is None or add - out < best[0]:
-                best = (add - out, d, out, add)
-        _, d, out, add = best
-        buckets[d].remove(out)
-        buckets[d].add(add)
-        counts[c] -= 1
-        counts[cp] += 1
-        if sum(abs(a - b) for a, b in zip(counts, need)) != gap - 2:
-            raise RuntimeError("realize: a move missed the target counts")
-
-    witness = _symbols(buckets[::-1], bottom)[0]
+    empties = [_empty_label((s,), e, 1)[0] for s in start]
+    need = tuple(map(operator.sub, _empty_label(target, e, len(start))[0], map(sum, zip(*empties))))
+    cap = min(sum(_core_cost((c - s) % e, x, e) for c, x in enumerate(need)) for s in start)
+    bounds = [1 << k for k in range(cap.bit_length()) if 1 << k < cap] + [cap]
+    found = next((f for b in bounds if (f := _least_cores(start, e, b).get(need))), None)
+    if sum(need) or found is None:
+        raise RuntimeError("realize: the runner targets are not reached")
+    witness = tuple(_core_partition(tuple(map(operator.add, s_e, x))) if any(x) else ()
+                    for s_e, x in zip(empties, found[2]))
     if generalized_core(witness, start, e).core_charges != target:
         raise RuntimeError("realized witness misses the target multicharge")
     return witness
 
 
 def reachable_multicharges(start, e, bound):
-    """Core charges of every multipartition of size at most `bound`: the
-    level_multicharge of each runner-charge tuple s_e that a DP over the
-    components reaches.  Each offers its distinct runner-count changes
-    (quotients._row_tally) at the least size making them, and each sum keeps
-    the least size reaching it.  Test oracle: reachable_by_enumeration."""
+    """Core charges of every multipartition of size at most `bound`, from the
+    changes _least_cores reaches.  Test oracle: reachable_by_enumeration."""
     start = _charge_tuple(start)
     bound = _as_int(bound, 0, "the size bound must be nonnegative")
     e = check_modulus(e)
     _require_domain(start, e)
-    reach = {_empty_label(start, e, len(start))[0]: 0}  # runner counts: least size reaching them
-    offers = {r: {} for r in {s % e for s in start}}  # tallies go by the charge mod e
-    for r, offer in offers.items():
-        for k in range(bound + 1):  # sizes ascending, so the first size seen is the least
-            for p in partition_list(k):
-                offer.setdefault(tuple(_row_tally(p, r, e)[0]), k)
+    base = _empty_label(start, e, len(start))[0]
+    return frozenset(_level_multicharge(tuple(map(operator.add, base, u)), len(start))
+                     for u in _least_cores(start, e, bound))
+
+
+def _core_cost(a, x, e):
+    """Nodes added by x beads onto (x < 0: off) a runner whose first hole is a above."""
+    return a * x + e * x * (x - 1) // 2
+
+
+@lru_cache(maxsize=256)
+def _core_offers(r, e, bound):
+    """(size, runner-count change) of each e-core of size at most bound at a charge
+    r mod e, by size; a runner's cost is never negative, so each is cut on its own."""
+    offers = [(0, ())]
+    for c in range(e):
+        costs = [(y, f) for y in range(-bound - 1, bound + 2)
+                 if (f := _core_cost((c - r) % e, y, e)) <= bound]
+        offers = [(k + f, x + (y,)) for k, x in offers for y, f in costs if k + f <= bound]
+    return sorted(o for o in offers if not sum(o[1]))
+
+
+def _least_cores(start, e, bound):
+    """Each runner-count change at start within the bound, with its least key (size,
+    component sizes, component changes) over tuples of e-cores.  Extending keys by one
+    component keeps their order, so keeping the least per partial sum is exact."""
+    reach = {(0,) * e: (0, (), ())}
     for s in start:
         step = {}
-        for u, size in reach.items():
-            for t, k in offers[s % e].items():
+        for u, (size, sizes, xs) in reach.items():
+            for k, x in _core_offers(s % e, e, bound):
                 if size + k > bound:
                     break
-                v = tuple(map(operator.add, u, t))
-                step[v] = min(size + k, step.get(v, bound))
+                v = tuple(map(operator.add, u, x))
+                key = (size + k, sizes + (k,), xs + (x,))
+                if v not in step or key < step[v]:
+                    step[v] = key
         reach = step
-    return frozenset(_level_multicharge(s_e, len(start)) for s_e in reach)
+    return reach

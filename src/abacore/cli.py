@@ -61,7 +61,7 @@ from .blocks import (
     reachable_multicharges,
     uglov_set,
 )
-from .nodes import boundary_nodes, i_signature
+from .nodes import i_signature
 from .partitions import Symbol
 from .quotients import (
     core_data,
@@ -193,10 +193,9 @@ def _blocks_lines(payload):
 
 
 def _nodes(mp, charges, e, i):
-    addable, removable = boundary_nodes(mp, charges, e, i)
     sig = i_signature(mp, charges, e, i)
-    return {"addable": [n._asdict() for n in addable],
-            "removable": [n._asdict() for n in removable],
+    return {"addable": [n._asdict() for x, n in sig.letters if x == "A"],
+            "removable": [n._asdict() for x, n in sig.letters if x == "R"],
             "word": sig.word, "reduced": sig.reduced_word,
             "good_addable": sig.good_addable and sig.good_addable._asdict(),
             "good_removable": sig.good_removable and sig.good_removable._asdict()}

@@ -125,16 +125,20 @@ def tau_e_inverse(quotient, s_e):
     return p, m
 
 
+def _core_partition(s_e):
+    """The e-core with validated runner charges s_e: the flush runners read back."""
+    return _symbols(*_relabel(((),) * len(s_e), s_e, len(s_e), 1, "rank", "partition"))[0][0]
+
+
 def e_core_partition(p, e):
     """The partition left after emptying every runner; independent of the charge."""
-    s_e = tau_e(p, 0, e)[1]
-    return tau_e_inverse(((),) * len(s_e), s_e)[0]
+    return _core_partition(tau_e(p, 0, e)[1])
 
 
 def core_data(p, m, e):
     """Core multicharge, core partition and weight of a charged partition."""
     quotient, charges = tau_e(p, m, e)
-    return CoreData(charges, e_core_partition(p, e), mp_size(quotient))
+    return CoreData(charges, _core_partition(charges), mp_size(quotient))
 
 
 def tau_l(p, m, e, l):

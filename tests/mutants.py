@@ -32,6 +32,7 @@ NODES = "tests/test_nodes.py::"
 NON_ITERABLE = PARTITIONS + "test_non_iterable_arguments_are_value_errors"
 ROW_ORDER = CLI + "test_text_values_are_parsed_after_argparse_in_row_order"
 REFUSED = NODES + "test_node_and_word_helpers_refuse_bad_input_with_value_errors"
+TIES = BLOCKS + "test_realize_breaks_ties_by_component_sizes_then_changes"
 REGULAR_LISTS = (
     PARTITIONS + "test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first"
 )
@@ -91,12 +92,47 @@ MUTANTS = (
         "column = list((p, k, t) for k in sizes for p, t in packed[s % e, k])",
         (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",),
     ),
+    # the least-core DP behind reachable_multicharges and realize_multicharge
     (
         "reachable-keeps-the-first-size",
         "blocks.py",
-        "step[v] = min(size + k, step.get(v, bound))",
-        "step.setdefault(v, size + k)",
+        "if v not in step or key < step[v]:",
+        "if v not in step:",
         (BLOCKS + "test_reachable_matches_the_enumeration_oracle",),
+    ),
+    (
+        "core-offer-cost-reversed",
+        "blocks.py",
+        "_core_cost((c - r) % e, y, e)",
+        "_core_cost((r - c) % e, y, e)",
+        (BLOCKS + "test_core_offers_are_the_e_cores_by_size",
+         BLOCKS + "test_reachable_matches_the_enumeration_oracle"),
+    ),
+    (
+        # "key < step[v]" to "<=" is an equivalent program (two equal keys
+        # are one entry), so the tie-break is broken by dropping its sizes
+        "least-cores-ties-skip-the-component-sizes",
+        "blocks.py",
+        "key = (size + k, sizes + (k,), xs + (x,))",
+        "key = (size + k, (), xs + (x,))",
+        (BLOCKS + "test_least_cores_keeps_the_least_key_of_every_change",
+         TIES + "[start1-target1-4-witness1]",
+         TIES + "[start4-target4-3-witness4]"),
+    ),
+    (
+        "realize-cap-off-by-one",
+        "blocks.py",
+        "if 1 << k < cap] + [cap]",
+        "if 1 << k < cap] + [cap - 1]",
+        (BLOCKS + "test_realize_example",),
+    ),
+    (
+        "realize-without-its-runner-target-check",
+        "blocks.py",
+        "    if sum(need) or found is None:\n"
+        "        raise RuntimeError(\"realize: the runner targets are not reached\")\n",
+        "",
+        (BLOCKS + "test_realize_checks_its_runner_targets",),
     ),
     (
         "row-tally-drops-the-rise",

@@ -24,7 +24,9 @@ label's core charges under s_0, ..., s_{e-1} instead of comparing the
 level_multicharge invariant.  blocks_of_by_labels and
 reachable_by_enumeration (with runner_charges_by_enumeration) label every
 multipartition with block_id, the per-member loops the library replaced by
-sums of per-component row tallies.
+sums of per-component row tallies.  realize_by_greedy moves one bead at a
+time inside level buckets, the witness search the library replaced by a DP
+over tuples of e-cores.
 Speed does not matter; clarity does.
 """
 
@@ -253,6 +255,55 @@ def reachable_by_enumeration(start, e, bound):
     runner_charges_by_enumeration."""
     s_es = runner_charges_by_enumeration(start, e, bound)
     return frozenset(level_multicharge(s_e, e, len(start)) for s_e in s_es)
+
+
+def realize_by_greedy(start, target, e):
+    """A multipartition charged at start whose core charges are target, by
+    deforming the empty one bead by bead.  Core charges depend only on the
+    bead counts per e-runner of the transpose, level charges on the counts
+    per level bucket, so each step moves the bead of an overfull runner to
+    an underfull one inside one bucket, the cheapest such move first, until
+    the runner counts are those of the empty multipartition at target.  The
+    buckets are filled from a full row below every charge, so each holds a
+    bead on every runner.  Not always the smallest witness in principle,
+    but the library's has its size on the tier-1 and wide grids."""
+    l = len(start)
+    runner_charges = block_id(((),) * l, target, e).core_multicharge
+    bottom = e * (min((0,) + runner_charges + tuple(start)) - 1)
+    need = [t - l * (bottom // e) for t in runner_charges]
+    buckets = [set(range(bottom, start[l - 1 - d])) for d in range(l)]
+    counts = [sum(v % e == c for vals in buckets for v in vals) for c in range(e)]
+    while counts != need:
+        c = next(q for q in range(e) if counts[q] > need[q])
+        cp = next(q for q in range(e) if counts[q] < need[q])
+        moves = []
+        for d, vals in enumerate(buckets):
+            ours = [v for v in vals if v % e == c]
+            if ours:
+                add = bottom + (cp - bottom) % e
+                while add in vals:
+                    add += e
+                moves.append((add - max(ours), d, max(ours), add))
+        _, d, out, add = min(moves)
+        buckets[d].remove(out)
+        buckets[d].add(add)
+        counts[c] -= 1
+        counts[cp] += 1
+    return _symbols(buckets[::-1], bottom)[0]
+
+
+# 2540 pairs; tests/wide_agreement.py checks realize_multicharge on them
+WIDE_REALIZE_GRID = {"max_e": 5, "max_l": 3}
+
+
+def realize_pairs(max_e, max_l):
+    """(start, target, e) for every e <= max_e and closed-domain start and
+    target of one level l <= max_l, charges within e + 1 of 0, equal sums."""
+    for e in range(2, max_e + 1):
+        for l in range(1, max_l + 1):
+            domain = [s for s in product(range(-e - 1, e + 2), repeat=l)
+                      if list(s) == sorted(s) and s[-1] - s[0] <= e]
+            yield from ((s, t, e) for s in domain for t in domain if sum(s) == sum(t))
 
 
 def is_scopes_by_diagram(b, i):

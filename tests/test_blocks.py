@@ -1,6 +1,7 @@
 """Block labels, their orbit structure, and the Uglov crystal sets."""
 
 import itertools
+import operator
 
 import pytest
 
@@ -28,7 +29,7 @@ from abacore import (
     tau_l_inverse,
     uglov_set,
 )
-from abacore.partitions import mp_size, multipartitions_of
+from abacore.partitions import mp_size, multipartitions_of, partitions_of
 
 import oracle
 
@@ -328,6 +329,73 @@ def test_realize_witness_is_smallest():
                 assert next(smaller, None) is None, (start, target, e)
 
 
+def test_realize_has_the_greedy_oracle_sizes():
+    # on the grid above, against the bead mover the DP replaced; the witness
+    # must meet its post-condition too
+    for e in (2, 3, 4):
+        for l in (1, 2, 3):
+            domain = [s for s in _closed_tuples(l, e, range(-e - 2, e + 3)) if abs(sum(s)) <= 1]
+            for start, target in itertools.product(domain, domain):
+                if sum(start) != sum(target):
+                    continue
+                witness = realize_multicharge(start, target, e)
+                assert generalized_core(witness, start, e).core_charges == target
+                greedy = oracle.realize_by_greedy(start, target, e)
+                assert mp_size(witness) == mp_size(greedy), (start, target, e)
+
+
+@pytest.mark.parametrize(
+    "start, target, e, witness",
+    [
+        # the realize answers in the cli-mix part of bench/golden.json
+        ((-2, -1, 0), (-1, -1, -1), 2, ((), (), (1,))),
+        ((-1, -1, 1), (-2, -1, 2), 4, ((), (), (1, 1, 1))),
+        ((-1, -1), (-3, 1), 4, ((), (2, 2))),
+        ((-2,), (-2,), 3, ((),)),
+        # the cli-mix pools' answers whose tie oracle.realize_by_greedy broke otherwise
+        ((1, 1, 1), (-1, 2, 2), 3, ((), (1,), (1, 1))),
+        ((-2, 1, 2), (-1, -1, 3), 4, ((), (2,), (1, 1, 1))),
+        ((-1, -1, 0), (-2, -2, 2), 4, ((), (1,), (2, 2))),
+        ((-2, -2, 1), (-1, -1, -1), 4, ((), (1,), (2, 2))),
+        ((1, 4, 4), (3, 3, 3), 4, ((), (2,), (3,))),
+        ((-2, -2, 1), (-3, 0, 0), 4, ((), (1,), (3,))),
+    ],
+)
+def test_realize_breaks_ties_by_component_sizes_then_changes(start, target, e, witness):
+    assert realize_multicharge(start, target, e) == witness
+
+
+def test_core_offers_are_the_e_cores_by_size():
+    # the closed-form sizes and runner-count changes against tau_e of every
+    # partition with an empty e-quotient
+    for e in (2, 3, 4):
+        for r in range(e):
+            empty = tau_e((), r, e)[1]
+            want = sorted(
+                (n, tuple(map(operator.sub, tau_e(p, r, e)[1], empty)))
+                for n in range(9)
+                for p in partitions_of(n)
+                if not any(tau_e(p, r, e)[0])
+            )
+            assert abacore.blocks._core_offers(r, e, 8) == want, (r, e)
+
+
+def test_least_cores_keeps_the_least_key_of_every_change():
+    # the DP against the least (size, component sizes, component changes)
+    # over every tuple of e-cores
+    for e in (2, 3):
+        for start in ((0,), (0, 0), (0, 1), (-1, 0, 0), (0, 0, e)):
+            for bound in range(6):
+                want = {}
+                for cores in itertools.product(*(
+                        abacore.blocks._core_offers(s % e, e, bound) for s in start)):
+                    sizes, xs = zip(*cores)
+                    if sum(sizes) <= bound:
+                        v = tuple(map(sum, zip(*xs)))
+                        want[v] = min(want.get(v, (bound + 1,)), (sum(sizes), sizes, xs))
+                assert abacore.blocks._least_cores(start, e, bound) == want, (start, e, bound)
+
+
 def test_realize_rejects_unreachable_targets():
     with pytest.raises(ValueError):
         realize_multicharge((0, 0), (0, 1), 3)  # wrong sum
@@ -466,6 +534,23 @@ BAD_BLOCKS = [
 def test_inconsistent_block_labels_are_rejected(call, b):
     with pytest.raises(ValueError):
         call(b)
+
+
+@pytest.mark.parametrize("l", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b, l: is_scopes(b, 1, l),
+        lambda b, l: is_scopes_exhaustive(b, 1, l),
+        lambda b, l: block_action("t", b, l),
+        lambda b, l: orbit_equivalent(b, b, l),  # the weights agree
+        lambda b, l: orbit_equivalent(b, b._replace(weight=1), l),  # they differ
+    ],
+)
+def test_levels_below_one_are_rejected(call, l):
+    # the label carries the same level, so only the level check can refuse it
+    with pytest.raises(ValueError, match="the level l must be at least 1"):
+        call(BlockId((0, 0), 0, 2, l, 0), l)
 
 
 def test_block_labels_may_leave_the_domain():

@@ -253,6 +253,21 @@ def test_negative_sizes_exit_2(argv):
     assert "nonnegative" in r.stdout and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("l", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("block-act", "--word", "t", "--core", "0,0", "--e", "2"),
+        ("scopes", "--core", "0,0", "--weight", "0", "--e", "2", "--i", "1"),
+        ("orbit-eq", "--core-a", "0,0", "--core-b", "0,0", "--weight-a", "0",
+         "--weight-b", "0", "--e", "2"),
+    ],
+)
+def test_block_levels_below_one_exit_2(argv, l):
+    code, text = cli.run([*argv, "--l", l])
+    assert code == 2 and "the level l must be at least 1" in text, text
+
+
 def _flags(name):
     return next(row.flags for row in cli._COMMANDS if row.name == name)
 

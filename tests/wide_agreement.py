@@ -1,6 +1,6 @@
 """The crystal, the duality transport, the orbit test, the Uglov set
-generator, blocks_of and reachable_multicharges against their oracles on the
-wide grids.
+generator, blocks_of, reachable_multicharges and realize_multicharge against
+their oracles on the wide grids.
 
     PYTHONPATH=src:tests python tests/wide_agreement.py
 
@@ -16,10 +16,14 @@ e <= 6, n up to 15, 11 and 9 by level), and reachable_multicharges against
 enumeration on the 1384 cases of oracle.shifted_grid(**oracle.WIDE_REACH_GRID)
 (e <= 5, bounds up to 10, 9 and 8 by level), once as is and once with
 blocks._level_multicharge as the identity, which checks the runner charges
-it is read from (2768 checks).  The tier-1 tests run the same checks on the
-smaller oracle.CRYSTAL_GRID, ORBIT_GRID, FLOTW_GRID, BLOCKS_GRID and
-REACH_GRID; this script takes about fifteen seconds and runs as its own CI
-job.  It prints one line per check and exits 1 at the first mismatch.
+it is read from (2768 checks).  realize_multicharge's witness is checked
+for its core charges and for the size of oracle.realize_by_greedy's on the
+2540 pairs of oracle.realize_pairs(**oracle.WIDE_REALIZE_GRID) (e <= 5,
+l <= 3, charges within e + 1 of 0, every sum).  The tier-1 tests run the
+same checks on the smaller oracle.CRYSTAL_GRID, ORBIT_GRID, FLOTW_GRID,
+BLOCKS_GRID and REACH_GRID and on the realize pairs of sum -1, 0 or 1 with
+e <= 4; this script takes about fifteen seconds and runs as its own CI job.
+It prints one line per check and exits 1 at the first mismatch.
 """
 
 import sys
@@ -29,12 +33,15 @@ import oracle
 from abacore import (
     blocks_of,
     duality_transport,
+    generalized_core,
     i_signature,
     orbit_equivalent,
     reachable_multicharges,
+    realize_multicharge,
     sigma_star,
     uglov_set,
 )
+from abacore.partitions import mp_size
 
 
 def crystal():
@@ -86,8 +93,15 @@ def reachable():
         abacore.blocks._level_multicharge = kept
 
 
+def realize():
+    for start, target, e in oracle.realize_pairs(**oracle.WIDE_REALIZE_GRID):
+        witness = realize_multicharge(start, target, e)
+        got = generalized_core(witness, start, e).core_charges, mp_size(witness)
+        yield (start, target, e), got, (target, mp_size(oracle.realize_by_greedy(start, target, e)))
+
+
 def main():
-    for check in (crystal, transport, orbit, flotw, blocks, reachable):
+    for check in (crystal, transport, orbit, flotw, blocks, reachable, realize):
         count = 0
         for case, got, want in check():
             if got != want:

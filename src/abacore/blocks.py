@@ -1,14 +1,14 @@
 """Blocks of charged multipartitions and the group action on them.
 
-A block is labeled by the charge tuple of the e-core of the underlying partition
-and the quotient weight, read off the rows in closed form (quotients._runner_counts);
-two charged multipartitions lie in the same block exactly when those agree.  A label
-sums one row tally per component (quotients._row_tally): blocks_of adds them up over
-members in lexicographic order.  A tally depends only on the e-core, the least partition
-with it, so one DP over tuples of e-cores (_least_cores) gives reachable_multicharges
-and realize_multicharge.  The extended affine symmetric group acts on block labels
-through its action on the core charges, and orbits of that action are classified by an
-invariant computed on the level-l side.
+A block is labeled by the charge tuple of the e-core of the underlying partition and the
+quotient weight, read off the rows in closed form (quotients._runner_counts); two
+charged multipartitions lie in the same block exactly when those agree.  A label sums
+one row tally per component (quotients._row_tally), alike for charges equal mod e:
+blocks_of tallies each partition once per residue and reads labels off packed sums.  A
+tally depends only on the e-core, the least partition with it, so one DP over tuples of
+e-cores (_least_cores) gives reachable_multicharges and realize_multicharge.  The
+extended affine symmetric group acts on block labels through the core charges, and its
+orbits are classified by an invariant computed on the level-l side.
 """
 
 import operator
@@ -65,37 +65,39 @@ def block_id(mp, charges, e):
 def blocks_of(n, charges, e):
     """Group all multipartitions of total size n into blocks.
 
-    Returns a dict from BlockId to the members in lexicographic order, the
-    blocks ordered by (weight, core charge tuple).  At size n the runner-count
-    changes of the row tallies fix the label (e times a row's rise is its part
-    less new % e - old % e).  They are packed once per partition and charge mod
-    e, change c times 2**(width*c), so a member costs one addition.  Digit c sums
-    to a change in [-n, n], as at most n rows move one bead each: with
-    2**width > 2n, n more in each digit gives digits in [0, 2n], which never
-    carry, so equal sums mean equal labels.  Blocks are labelled off their
-    first member; components walk their partitions in increasing tuple order,
-    so members come sorted.  Test oracle: blocks_of_by_labels.
+    Returns a dict from BlockId to the members in lexicographic order, the blocks
+    ordered by (weight, core charge tuple).  The runner-count changes D of a member's
+    row tallies fix its label.  Each component's, alike for charges equal mod e, is
+    packed once (_packed), change c times 2**(width*c), so a member costs one addition.
+    Digit c sums to a change in [-n, n], as at most n rows move one bead each: with
+    2**width > 2n and n added to every digit, digits lie in [0, 2n] and never carry, so
+    equal sums mean equal labels, and each digit masked, less n, is D_c.  The runner
+    charges are the empty ones plus D, the weight the empty total plus l*(n - sum of
+    c*D_c)/e less (sum of s_e^2 - m)/2 (_runner_counts): e divides, as e times a row's
+    rise is its part less new % e - old % e.  Components walk their partitions in
+    increasing tuple order, so members come sorted.  Test oracle: blocks_of_by_labels.
     """
     n = _as_int(n, 0, "the size n must be nonnegative")
     charges = _charge_tuple(charges)
     e = check_modulus(e)
     _require_domain(charges, e)
-    l = len(charges)
-    places = [1 << (2 * n).bit_length() * c for c in range(e)]
-    sizes = range(n + 1) if l > 1 else (n,)  # only the last component at l = 1
-    packed = {(s, k): [(p, sum(map(operator.mul, _row_tally(p, s, e)[0], places)))
-                       for p in partition_list(k)] for s in {c % e for c in charges} for k in sizes}
-    members = [((), n, 0)]  # (components so far, size left, packed changes)
+    l, width = len(charges), (2 * n).bit_length()
+    members = [((), n, n * sum(1 << width * c for c in range(e)))]  # (mp, size left, D + n)
     for s in charges[:-1]:
-        column = sorted((p, k, t) for k in sizes for p, t in packed[s % e, k])
+        column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))
         members = [(mp + (p,), rest - k, u + t)
                    for mp, rest, u in members for p, k, t in column if k <= rest]
     groups = {}
     for mp, rest, u in members:
-        for p, t in reversed(packed[charges[-1] % e, rest]):
+        for p, t in reversed(_packed(charges[-1] % e, rest, e, width)):
             groups.setdefault(u + t, []).append(mp + (p,))
-    labels = sorted((_runner_counts(x[0], charges, e, l)[::-1], x) for x in groups.values())
-    return {BlockId(s_e, w, e, l, sum(charges)): tuple(x) for (w, s_e), x in labels}
+    (counts, total), labels, m = _empty_label(charges, e, l), [], sum(charges)
+    for u, x in groups.items():
+        d = [(u >> width * c & (1 << width) - 1) - n for c in range(e)]
+        s_e = tuple(map(operator.add, counts, d))
+        w = total + l * (n - sum(map(operator.mul, range(e), d))) // e
+        labels.append((w - (sum(map(operator.mul, s_e, s_e)) - m) // 2, s_e, x))
+    return {BlockId(s_e, w, e, l, m): tuple(x) for w, s_e, x in sorted(labels)}
 
 
 def uglov_set(charges, e, n):
@@ -267,12 +269,13 @@ def realize_multicharge(start, target, e):
     and is the least with them: they are the start's plus one change per
     component, which depends only on its e-core, the unique least partition with
     that change (removing a rim e-hook keeps it), so the least are tuples of
-    e-cores.  _least_cores is exact up to its bound, and the bounds 1, 2, 4, ...
-    stop at the size of the whole change put into one component, which reaches
-    it.  Ties go to the least component sizes, then changes.  No other runner
-    charges with these core charges give a smaller witness (checked by
-    enumeration in tests/test_blocks.py).  RuntimeError when the change does not
-    sum to 0 or is not reached, or the witness misses.
+    e-cores.  _least_cores, exact up to its bound, runs over all components but
+    the last, whose change is the one left and fixes its e-core, so it is looked
+    up.  The bounds 1, 2, 4, ... stop at the size of the whole change put into
+    one component, which reaches it.  Ties go to the least component sizes, then
+    changes.  No smaller witness has these core charges (enumerated in
+    tests/test_blocks.py).  RuntimeError when the change does not sum to 0 or is
+    not reached, or the witness misses.
     """
     start = _charge_tuple(start)
     target = _as_ints(target)
@@ -283,12 +286,17 @@ def realize_multicharge(start, target, e):
     empties = [_empty_label((s,), e, 1)[0] for s in start]
     need = tuple(map(operator.sub, _empty_label(target, e, len(start))[0], map(sum, zip(*empties))))
     cap = min(sum(_core_cost((c - s) % e, x, e) for c, x in enumerate(need)) for s in start)
-    bounds = [1 << k for k in range(cap.bit_length()) if 1 << k < cap] + [cap]
-    found = next((f for b in bounds if (f := _least_cores(start, e, b).get(need))), None)
-    if sum(need) or found is None:
+    for b in [1 << k for k in range(cap.bit_length()) if 1 << k < cap] + [cap]:
+        last = {x: k for k, x in _core_offers(start[-1] % e, e, b)}  # one e-core per change
+        ends = [(size + last[x], sizes + (last[x],), xs + (x,))
+                for u, (size, sizes, xs) in _least_cores(start[:-1], e, b).items()
+                if (x := tuple(map(operator.sub, need, u))) in last and size + last[x] <= b]
+        if ends:
+            break
+    if sum(need) or not ends:
         raise RuntimeError("realize: the runner targets are not reached")
     witness = tuple(_core_partition(tuple(map(operator.add, s_e, x))) if any(x) else ()
-                    for s_e, x in zip(empties, found[2]))
+                    for s_e, x in zip(empties, min(ends)[2]))
     if generalized_core(witness, start, e).core_charges != target:
         raise RuntimeError("realized witness misses the target multicharge")
     return witness
@@ -321,6 +329,13 @@ def _core_offers(r, e, bound):
                  if (f := _core_cost((c - r) % e, y, e)) <= bound]
         offers = [(k + f, x + (y,)) for k, x in offers for y, f in costs if k + f <= bound]
     return sorted(o for o in offers if not sum(o[1]))
+
+
+@lru_cache(maxsize=256)
+def _packed(r, k, e, width):
+    """Each partition of k and its runner-count changes at a charge r mod e, packed."""
+    return tuple((p, sum(x << width * c for c, x in enumerate(_row_tally(p, r, e)[0])))
+                 for p in partition_list(k))
 
 
 def _least_cores(start, e, bound):

@@ -5,15 +5,17 @@ the tests that must catch it.
     python tests/mutants.py NAME ...   # the named rows only
 
 A row is (name, module under src/abacore, exact old snippet, replacement,
-node ids).  For each row the script copies src/ to a temporary directory,
-replaces the snippet there, and runs pytest on the row's node ids against
-the copy.  It fails when a snippet does not occur exactly once in its
-module, when the listed tests do not all pass on the unmutated copy (a
-failure on the mutant would then mean nothing), or when a listed test
-passes on its mutant, which then survives.  The repository itself is never
-edited.  A refactor that moves a snippet re-targets its row; a row is
-dropped only for a mutant shown to be an equivalent program, with the
-reason recorded in CHANGES.md.  Needs only the standard library and pytest.
+node ids).  A node id that names a parametrized test without a case id is
+caught when any of its cases fails.  For each row the script copies src/
+to a temporary directory, replaces the snippet there, and runs pytest on
+the row's node ids against the copy.  It fails when a snippet does not
+occur exactly once in its module, when the listed tests do not all pass on
+the unmutated copy (a failure on the mutant would then mean nothing), or
+when a listed test passes on its mutant, which then survives.  The
+repository itself is never edited.  A refactor that moves a snippet
+re-targets its row; a row is dropped only for a mutant shown to be an
+equivalent program, with the reason recorded in CHANGES.md.  Needs only
+the standard library and pytest.
 """
 
 import os
@@ -84,13 +86,39 @@ MUTANTS = (
         (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
          BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
     ),
-    # block labels summed from per-component row tallies
+    # block labels read off packed sums of cached per-component row tallies
     (
         "blocks-column-unsorted",
         "blocks.py",
-        "column = sorted((p, k, t) for k in sizes for p, t in packed[s % e, k])",
-        "column = list((p, k, t) for k in sizes for p, t in packed[s % e, k])",
+        "column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))",
+        "column = list((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))",
         (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",),
+    ),
+    (
+        # each (r, k, e) keeps the column packed at the first width it met,
+        # as a cache keyed without the width would
+        "packed-cache-key-without-the-width",
+        "blocks.py",
+        "def _packed(r, k, e, width):\n",
+        "def _packed(r, k, e, width, _first={}):\n"
+        "    width = _first.setdefault((r, k, e), width)\n",
+        (BLOCKS + "test_blocks_of_agrees_across_sizes_that_share_residues",),
+    ),
+    (
+        "blocks-digits-without-the-n-offset",
+        "blocks.py",
+        "members = [((), n, n * sum(1 << width * c for c in range(e)))]",
+        "members = [((), n, 0)]",
+        (BLOCKS + "test_blocks_of_example",
+         BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively"),
+    ),
+    (
+        "blocks-weight-without-the-rise",
+        "blocks.py",
+        "w = total + l * (n - sum(map(operator.mul, range(e), d))) // e",
+        "w = total",
+        (BLOCKS + "test_blocks_of_example",
+         BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively"),
     ),
     # the least-core DP behind reachable_multicharges and realize_multicharge
     (
@@ -129,7 +157,7 @@ MUTANTS = (
     (
         "realize-without-its-runner-target-check",
         "blocks.py",
-        "    if sum(need) or found is None:\n"
+        "    if sum(need) or not ends:\n"
         "        raise RuntimeError(\"realize: the runner targets are not reached\")\n",
         "",
         (BLOCKS + "test_realize_checks_its_runner_targets",),
@@ -291,6 +319,11 @@ def run_tests(src, node_ids):
     return proc.returncode, failed, proc.stdout + proc.stderr
 
 
+def caught(node, failed):
+    """Whether the test node failed, or, named without a case id, any of its cases."""
+    return node in failed or any(f.startswith(node + "[") for f in failed)
+
+
 def mutate(src, module, old, new):
     path = src / "abacore" / module
     text = path.read_text()
@@ -331,7 +364,7 @@ def main(names):
             problem = mutate(src, module, old, new)
             if problem is None:
                 code, failed, out = run_tests(src, node_ids)
-                survivors = [node for node in node_ids if node not in failed]
+                survivors = [node for node in node_ids if not caught(node, failed)]
                 if survivors:
                     problem = "survives " + ", ".join(survivors)
             print(f"{name}: {problem or 'killed by ' + str(len(node_ids)) + ' tests'}")

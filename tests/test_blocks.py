@@ -96,6 +96,35 @@ def test_blocks_of_matches_the_label_oracle_exhaustively():
     assert checked == 496
 
 
+def test_blocks_of_charges_moved_by_e_raise_every_runner_charge_by_l():
+    # a charge moved by e keeps its residue, so its tallies come from the same
+    # cached columns; every component's empty runner counts rise by one
+    for charges, e, n in [((0, 1), 4, 6), ((-1, 0, 2), 3, 5), ((2,), 2, 7), ((-3, -3), 2, 5)]:
+        l, moved = len(charges), tuple(c + e for c in charges)
+        got, base = blocks_of(n, moved, e), blocks_of(n, charges, e)
+        assert list(got.values()) == list(base.values()), (charges, e, n)
+        assert list(got) == [
+            BlockId(tuple(s + l for s in b.core_multicharge), b.weight, e, l, b.m + l * e)
+            for b in base
+        ], (charges, e, n)
+
+
+@pytest.mark.parametrize("order", ["small-first", "large-first"])
+def test_blocks_of_agrees_across_sizes_that_share_residues(order):
+    # the packed columns depend on n through the digit width, so calls at
+    # different widths must not share a column, whichever comes first
+    abacore.blocks._packed.cache_clear()
+    cases = [(n, charges, e) for e in (2, 3) for charges in ((0, 1), (e - 1, e))
+             for n in (1, 2, 5, 8)]
+    for n, charges, e in cases if order == "small-first" else cases[::-1]:
+        want = oracle.blocks_of_by_labels(n, charges, e)
+        assert list(blocks_of(n, charges, e).items()) == list(want.items()), (n, charges, e)
+
+
+def test_packed_columns_are_a_bounded_cache():
+    assert abacore.blocks._packed.cache_info().maxsize is not None
+
+
 def test_blocks_partition_everything():
     for e in (2, 3):
         for n in range(6):

@@ -12,7 +12,8 @@ uglov_set is checked against the FLOTW filter on the 2615 cases of
 oracle.WIDE_FLOTW_GRID (l <= 4, e <= 6, n up to 21 at l = 1).  blocks_of is
 checked, as whole dicts in order, against labelling every member on the
 2360 cases of oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID) (l <= 3,
-e <= 6, n up to 15, 11 and 9 by level), and reachable_multicharges against
+e <= 6, n up to 15, 11 and 9 by level), then again in reverse order from
+the warm column cache (4720 checks), and reachable_multicharges against
 enumeration on the 1384 cases of oracle.shifted_grid(**oracle.WIDE_REACH_GRID)
 (e <= 5, bounds up to 10, 9 and 8 by level), once as is and once with
 blocks._level_multicharge as the identity, which checks the runner charges
@@ -71,7 +72,10 @@ def flotw():
 
 
 def blocks():
-    for charges, e, n in oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID):
+    # then again in reverse order, so every answer is also checked from the
+    # packed-column cache that other sizes and residues have filled
+    cases = list(oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID))
+    for charges, e, n in cases + cases[::-1]:
         got, want = blocks_of(n, charges, e), oracle.blocks_of_by_labels(n, charges, e)
         yield (n, charges, e), list(got.items()), list(want.items())
 

@@ -2,13 +2,13 @@
 
 A block is labeled by the charge tuple of the e-core of the underlying partition and the
 quotient weight, read off the rows in closed form (quotients._runner_counts); two
-charged multipartitions lie in the same block exactly when those agree.  A label sums
-one row tally per component (quotients._row_tally), alike for charges equal mod e:
-blocks_of tallies each partition once per residue and reads labels off packed sums.  A
-tally depends only on the e-core, the least partition with it, so one DP over tuples of
-e-cores (_least_cores) gives reachable_multicharges and realize_multicharge.  The
-extended affine symmetric group acts on block labels through the core charges, and its
-orbits are classified by an invariant computed on the level-l side.
+charged multipartitions lie in the same block exactly when those agree.  A label sums one
+row tally per component (quotients._row_tally), alike for charges equal mod e, so a
+translation by e keeps the blocks: blocks_of groups members once per residue tuple and
+reads labels per call off packed sums.  A tally depends only on the e-core, so one DP over
+tuples of e-cores (_least_cores) gives reachable_multicharges and realize_multicharge.
+The extended affine symmetric group acts on block labels through the core charges, and
+its orbits are classified by an invariant computed on the level-l side.
 """
 
 import operator
@@ -67,37 +67,24 @@ def blocks_of(n, charges, e):
 
     Returns a dict from BlockId to the members in lexicographic order, the blocks
     ordered by (weight, core charge tuple).  The runner-count changes D of a member's
-    row tallies fix its label.  Each component's, alike for charges equal mod e, is
-    packed once (_packed), change c times 2**(width*c), so a member costs one addition.
-    Digit c sums to a change in [-n, n], as at most n rows move one bead each: with
-    2**width > 2n and n added to every digit, digits lie in [0, 2n] and never carry, so
-    equal sums mean equal labels, and each digit masked, less n, is D_c.  The runner
-    charges are the empty ones plus D, the weight the empty total plus l*(n - sum of
-    c*D_c)/e less (sum of s_e^2 - m)/2 (_runner_counts): e divides, as e times a row's
-    rise is its part less new % e - old % e.  Components walk their partitions in
-    increasing tuple order, so members come sorted.  Test oracle: blocks_of_by_labels.
+    row tallies fix its label: the runner charges are the empty ones plus D, the weight
+    the empty total plus l*(n - sum of c*D_c)/e less (sum of s_e^2 - m)/2 (_runner_counts;
+    e divides, as e times a row's rise is its part less new % e - old % e).  Moving s_j by
+    e keeps Q_j = q^(s_j) and adds one bead to each runner of the empty component j, so D
+    depends on the charges only mod e: members are grouped once per (n, residues, e)
+    (_block_groups), labels read per call.  Test oracle: blocks_of_by_labels.
     """
     n = _as_int(n, 0, "the size n must be nonnegative")
     charges = _charge_tuple(charges)
     e = check_modulus(e)
     _require_domain(charges, e)
-    l, width = len(charges), (2 * n).bit_length()
-    members = [((), n, n * sum(1 << width * c for c in range(e)))]  # (mp, size left, D + n)
-    for s in charges[:-1]:
-        column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))
-        members = [(mp + (p,), rest - k, u + t)
-                   for mp, rest, u in members for p, k, t in column if k <= rest]
-    groups = {}
-    for mp, rest, u in members:
-        for p, t in reversed(_packed(charges[-1] % e, rest, e, width)):
-            groups.setdefault(u + t, []).append(mp + (p,))
+    l = len(charges)
     (counts, total), labels, m = _empty_label(charges, e, l), [], sum(charges)
-    for u, x in groups.items():
-        d = [(u >> width * c & (1 << width) - 1) - n for c in range(e)]
+    for d, x in _block_groups(n, tuple(s % e for s in charges), e):
         s_e = tuple(map(operator.add, counts, d))
         w = total + l * (n - sum(map(operator.mul, range(e), d))) // e
         labels.append((w - (sum(map(operator.mul, s_e, s_e)) - m) // 2, s_e, x))
-    return {BlockId(s_e, w, e, l, m): tuple(x) for w, s_e, x in sorted(labels)}
+    return {BlockId(s_e, w, e, l, m): x for w, s_e, x in sorted(labels)}
 
 
 def uglov_set(charges, e, n):
@@ -265,17 +252,17 @@ def orbit_equivalent(b1, b2, l):
 def realize_multicharge(start, target, e):
     """Build a multipartition charged at `start` whose core charges are `target`.
 
-    The witness has the runner charges of the empty multipartition at `target`,
-    and is the least with them: they are the start's plus one change per
-    component, which depends only on its e-core, the unique least partition with
-    that change (removing a rim e-hook keeps it), so the least are tuples of
-    e-cores.  _least_cores, exact up to its bound, runs over all components but
-    the last, whose change is the one left and fixes its e-core, so it is looked
-    up.  The bounds 1, 2, 4, ... stop at the size of the whole change put into
-    one component, which reaches it.  Ties go to the least component sizes, then
-    changes.  No smaller witness has these core charges (enumerated in
-    tests/test_blocks.py).  RuntimeError when the change does not sum to 0 or is
-    not reached, or the witness misses.
+    The witness has the runner charges of the empty multipartition at `target`, and is
+    the least with them: they are the start's plus one change per component, which
+    depends only on its e-core, the unique least partition with that change (removing a
+    rim e-hook keeps it), so the least are tuples of e-cores.  _least_cores, exact up to
+    its bound, runs over all components but the last, whose change is the one left and
+    fixes its e-core, so it is looked up.  From bound 1, a bound b with no witness gives
+    way to the least of 2b, the least total seen (its prefix fits that bound) and the
+    size of the whole change put into one component, which reaches it.  Ties go to the
+    least component sizes, then changes.  No smaller witness has these core charges
+    (enumerated in tests/test_blocks.py).  RuntimeError when the change does not sum to
+    0 or is not reached, or the witness misses.
     """
     start = _charge_tuple(start)
     target = _as_ints(target)
@@ -286,17 +273,18 @@ def realize_multicharge(start, target, e):
     empties = [_empty_label((s,), e, 1)[0] for s in start]
     need = tuple(map(operator.sub, _empty_label(target, e, len(start))[0], map(sum, zip(*empties))))
     cap = min(sum(_core_cost((c - s) % e, x, e) for c, x in enumerate(need)) for s in start)
-    for b in [1 << k for k in range(cap.bit_length()) if 1 << k < cap] + [cap]:
-        last = {x: k for k, x in _core_offers(start[-1] % e, e, b)}  # one e-core per change
-        ends = [(size + last[x], sizes + (last[x],), xs + (x,))
-                for u, (size, sizes, xs) in _least_cores(start[:-1], e, b).items()
-                if (x := tuple(map(operator.sub, need, u))) in last and size + last[x] <= b]
-        if ends:
+    last, b = {x: k for k, x in _core_offers(start[-1] % e, e, cap)}, min(1, cap)
+    while True:
+        best = min([(size + last[x], sizes + (last[x],), xs + (x,))
+                    for u, (size, sizes, xs) in _least_cores(start[:-1], e, b).items()
+                    if (x := tuple(map(operator.sub, need, u))) in last], default=(cap + 1,))
+        if best[0] <= b or b == cap:
             break
-    if sum(need) or not ends:
+        b = min(2 * b, best[0], cap)
+    if sum(need) or best[0] > b:
         raise RuntimeError("realize: the runner targets are not reached")
     witness = tuple(_core_partition(tuple(map(operator.add, s_e, x))) if any(x) else ()
-                    for s_e, x in zip(empties, min(ends)[2]))
+                    for s_e, x in zip(empties, best[2]))
     if generalized_core(witness, start, e).core_charges != target:
         raise RuntimeError("realized witness misses the target multicharge")
     return witness
@@ -329,6 +317,28 @@ def _core_offers(r, e, bound):
                  if (f := _core_cost((c - r) % e, y, e)) <= bound]
         offers = [(k + f, x + (y,)) for k, x in offers for y, f in costs if k + f <= bound]
     return sorted(o for o in offers if not sum(o[1]))
+
+
+@lru_cache(maxsize=64)
+def _block_groups(n, residues, e):
+    """(D, members) of each block of the multipartitions of n at charges of these residues
+    mod e; the cache pins at most 64 groupings.  Changes are packed once per component
+    (_packed), change c times 2**(width*c), so a member costs one addition.  Digit c sums
+    to a change in [-n, n] (n rows move one bead each), so with n added and 2**width > 2n
+    digits never carry, equal sums mean equal D, and digit c masked, less n, is D_c.
+    Components walk their partitions in increasing tuple order, so members come sorted."""
+    width = (2 * n).bit_length()
+    members = [((), n, n * sum(1 << width * c for c in range(e)))]  # (mp, size left, D + n)
+    for r in residues[:-1]:
+        column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(r, k, e, width))
+        members = [(mp + (p,), rest - k, u + t)
+                   for mp, rest, u in members for p, k, t in column if k <= rest]
+    groups = {}
+    for mp, rest, u in members:
+        for p, t in reversed(_packed(residues[-1], rest, e, width)):
+            groups.setdefault(u + t, []).append(mp + (p,))
+    return tuple((tuple((u >> width * c & (1 << width) - 1) - n for c in range(e)), tuple(x))
+                 for u, x in groups.items())
 
 
 @lru_cache(maxsize=256)

@@ -86,13 +86,37 @@ MUTANTS = (
         (BLOCKS + "test_uglov_set_matches_the_filter_exhaustively",
          BLOCKS + "test_uglov_set_matches_the_crystal_exhaustively"),
     ),
-    # block labels read off packed sums of cached per-component row tallies
+    # block labels read per call off groups of packed row tallies cached per
+    # residue tuple
     (
         "blocks-column-unsorted",
         "blocks.py",
-        "column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))",
-        "column = list((p, k, t) for k in range(n + 1) for p, t in _packed(s % e, k, e, width))",
+        "column = sorted((p, k, t) for k in range(n + 1) for p, t in _packed(r, k, e, width))",
+        "column = list((p, k, t) for k in range(n + 1) for p, t in _packed(r, k, e, width))",
         (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",),
+    ),
+    (
+        "block-groups-at-zero-residues",
+        "blocks.py",
+        "_block_groups(n, tuple(s % e for s in charges), e)",
+        "_block_groups(n, (0,) * l, e)",
+        (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",
+         BLOCKS + "test_blocks_of_keeps_the_groups_of_each_residue_tuple_apart"),
+    ),
+    (
+        "blocks-empty-label-at-the-residues",
+        "blocks.py",
+        "_empty_label(charges, e, l)",
+        "_empty_label(tuple(s % e for s in charges), e, l)",
+        (BLOCKS + "test_blocks_of_matches_the_label_oracle_exhaustively",
+         BLOCKS + "test_blocks_of_translated_components_keep_the_members"),
+    ),
+    (
+        "blocks-of-one-cached-dict",
+        "blocks.py",
+        "def blocks_of(n, charges, e):\n",
+        "@lru_cache(maxsize=64)\ndef blocks_of(n, charges, e):\n",
+        (BLOCKS + "test_blocks_of_returns_a_fresh_dict_every_call",),
     ),
     (
         # each (r, k, e) keeps the column packed at the first width it met,
@@ -150,14 +174,23 @@ MUTANTS = (
     (
         "realize-cap-off-by-one",
         "blocks.py",
-        "if 1 << k < cap] + [cap]",
-        "if 1 << k < cap] + [cap - 1]",
+        "_core_offers(start[-1] % e, e, cap)",
+        "_core_offers(start[-1] % e, e, cap - 1)",
         (BLOCKS + "test_realize_example",),
+    ),
+    (
+        # the search would repeat the bound below the total it saw forever;
+        # the test's recorder stops it
+        "realize-next-bound-one-too-low",
+        "blocks.py",
+        "b = min(2 * b, best[0], cap)",
+        "b = min(2 * b, best[0] - 1, cap)",
+        (BLOCKS + "test_realize_takes_the_next_bound_from_the_least_total_seen",),
     ),
     (
         "realize-without-its-runner-target-check",
         "blocks.py",
-        "    if sum(need) or not ends:\n"
+        "    if sum(need) or best[0] > b:\n"
         "        raise RuntimeError(\"realize: the runner targets are not reached\")\n",
         "",
         (BLOCKS + "test_realize_checks_its_runner_targets",),

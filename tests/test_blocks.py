@@ -97,8 +97,8 @@ def test_blocks_of_matches_the_label_oracle_exhaustively():
 
 
 def test_blocks_of_charges_moved_by_e_raise_every_runner_charge_by_l():
-    # a charge moved by e keeps its residue, so its tallies come from the same
-    # cached columns; every component's empty runner counts rise by one
+    # a charge moved by e keeps its residue, so its grouping comes from the
+    # same cache; every component's empty runner counts rise by one
     for charges, e, n in [((0, 1), 4, 6), ((-1, 0, 2), 3, 5), ((2,), 2, 7), ((-3, -3), 2, 5)]:
         l, moved = len(charges), tuple(c + e for c in charges)
         got, base = blocks_of(n, moved, e), blocks_of(n, charges, e)
@@ -109,11 +109,53 @@ def test_blocks_of_charges_moved_by_e_raise_every_runner_charge_by_l():
         ], (charges, e, n)
 
 
+@pytest.mark.parametrize(
+    "pattern, v",
+    [((0,), (2,)), ((0, 0), (0, 1)), ((0, 0), (-1, 0)), ((0, 1), (1, 0)),
+     ((0, 0, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, 0)), ((0, 0, 0), (-1, -1, 0))],
+)
+def test_blocks_of_translated_components_keep_the_members(pattern, v):
+    # moving component j by e * v_j keeps its residue, so the grouping is the
+    # one cached at the untranslated charges: every runner count of the empty
+    # component j rises by v_j, so every core charge by sum(v), and the
+    # weights all move by one constant
+    for e in (2, 3, 4):
+        for a in (0, 1, -2):
+            charges = tuple(a + e * p for p in pattern)
+            moved = tuple(s + e * k for s, k in zip(charges, v))
+            assert in_closed_domain(charges, e) and in_closed_domain(moved, e)
+            for n in range(6):
+                base, got = blocks_of(n, charges, e), blocks_of(n, moved, e)
+                assert list(got.values()) == list(base.values()), (charges, moved, e, n)
+                assert [b.core_multicharge for b in got] == [
+                    tuple(s + sum(v) for s in b.core_multicharge) for b in base]
+                assert len({b.weight - c.weight for b, c in zip(got, base)}) == 1
+                assert {(b.e, b.l, b.m) for b in got} == {(e, len(v), sum(moved))}
+
+
+def test_blocks_of_keeps_the_groups_of_each_residue_tuple_apart():
+    # equal n and e, other residues: neither call may be served the other's groups
+    abacore.blocks._block_groups.cache_clear()
+    for n in (2, 4, 6):
+        for charges, e in [((0, 1), 3), ((0, 2), 3), ((0, 0, 1), 2), ((0, 1, 1), 2)]:
+            want = oracle.blocks_of_by_labels(n, charges, e)
+            assert list(blocks_of(n, charges, e).items()) == list(want.items()), (n, charges, e)
+
+
+def test_blocks_of_returns_a_fresh_dict_every_call():
+    first = blocks_of(5, (0, 1), 3)
+    want = list(first.items())
+    first[next(iter(first))] = ()
+    first.popitem()
+    assert list(blocks_of(5, (0, 1), 3).items()) == want
+
+
 @pytest.mark.parametrize("order", ["small-first", "large-first"])
 def test_blocks_of_agrees_across_sizes_that_share_residues(order):
     # the packed columns depend on n through the digit width, so calls at
     # different widths must not share a column, whichever comes first
     abacore.blocks._packed.cache_clear()
+    abacore.blocks._block_groups.cache_clear()
     cases = [(n, charges, e) for e in (2, 3) for charges in ((0, 1), (e - 1, e))
              for n in (1, 2, 5, 8)]
     for n, charges, e in cases if order == "small-first" else cases[::-1]:
@@ -122,7 +164,8 @@ def test_blocks_of_agrees_across_sizes_that_share_residues(order):
 
 
 def test_packed_columns_are_a_bounded_cache():
-    assert abacore.blocks._packed.cache_info().maxsize is not None
+    for cached in (abacore.blocks._packed, abacore.blocks._block_groups):
+        assert cached.cache_info().maxsize is not None, cached
 
 
 def test_blocks_partition_everything():
@@ -423,6 +466,25 @@ def test_least_cores_keeps_the_least_key_of_every_change():
                         v = tuple(map(sum, zip(*xs)))
                         want[v] = min(want.get(v, (bound + 1,)), (sum(sizes), sizes, xs))
                 assert abacore.blocks._least_cores(start, e, bound) == want, (start, e, bound)
+
+
+def test_realize_takes_the_next_bound_from_the_least_total_seen(monkeypatch):
+    # these witnesses have size 5 and a prefix of size 2, so a total of 5 is
+    # seen at bound 2 and the search ends at bound 5, where doubling went on to
+    # 8; a next bound that does not rise would repeat forever
+    bounds, real = [], abacore.blocks._least_cores
+
+    def recorded(start, e, bound):
+        bounds.append(bound)
+        if len(bounds) > 8:
+            raise RuntimeError(f"the bounds do not rise: {bounds}")
+        return real(start, e, bound)
+
+    monkeypatch.setattr(abacore.blocks, "_least_cores", recorded)
+    for start, target in [((1, 4, 4), (3, 3, 3)), ((-2, 1, 2), (-1, -1, 3))]:
+        bounds.clear()
+        assert mp_size(realize_multicharge(start, target, 4)) == 5
+        assert bounds == [1, 2, 4, 5], (start, target)
 
 
 def test_realize_rejects_unreachable_targets():

@@ -13,7 +13,9 @@ oracle.WIDE_FLOTW_GRID (l <= 4, e <= 6, n up to 21 at l = 1).  blocks_of is
 checked, as whole dicts in order, against labelling every member on the
 2360 cases of oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID) (l <= 3,
 e <= 6, n up to 15, 11 and 9 by level), then again in reverse order from
-the warm column cache (4720 checks), and reachable_multicharges against
+the warm column cache, then at the 6400 component-wise translations
+s + e*v (v in {-1, 0, 1}^l) that stay in the domain, each from the groups
+cached at s (11120 checks), and reachable_multicharges against
 enumeration on the 1384 cases of oracle.shifted_grid(**oracle.WIDE_REACH_GRID)
 (e <= 5, bounds up to 10, 9 and 8 by level), once as is and once with
 blocks._level_multicharge as the identity, which checks the runner charges
@@ -23,10 +25,11 @@ for its core charges and for the size of oracle.realize_by_greedy's on the
 l <= 3, charges within e + 1 of 0, every sum).  The tier-1 tests run the
 same checks on the smaller oracle.CRYSTAL_GRID, ORBIT_GRID, FLOTW_GRID,
 BLOCKS_GRID and REACH_GRID and on the realize pairs of sum -1, 0 or 1 with
-e <= 4; this script takes about fifteen seconds and runs as its own CI job.
+e <= 4; this script takes about twenty-five seconds and runs as its own CI job.
 It prints one line per check and exits 1 at the first mismatch.
 """
 
+import itertools
 import sys
 
 import abacore.blocks
@@ -36,6 +39,7 @@ from abacore import (
     duality_transport,
     generalized_core,
     i_signature,
+    in_closed_domain,
     orbit_equivalent,
     reachable_multicharges,
     realize_multicharge,
@@ -73,11 +77,20 @@ def flotw():
 
 def blocks():
     # then again in reverse order, so every answer is also checked from the
-    # packed-column cache that other sizes and residues have filled
+    # packed-column cache that other sizes and residues have filled, and at
+    # every translation s + e*v, v in {-1, 0, 1}^l, that stays in the domain,
+    # so from the groups cached by the call at s just before
     cases = list(oracle.shifted_grid(**oracle.WIDE_BLOCKS_GRID))
     for charges, e, n in cases + cases[::-1]:
         got, want = blocks_of(n, charges, e), oracle.blocks_of_by_labels(n, charges, e)
         yield (n, charges, e), list(got.items()), list(want.items())
+    for charges, e, n in cases:
+        blocks_of(n, charges, e)
+        for v in itertools.product((-1, 0, 1), repeat=len(charges)):
+            moved = tuple(c + e * k for c, k in zip(charges, v))
+            if any(v) and in_closed_domain(moved, e):
+                got, want = blocks_of(n, moved, e), oracle.blocks_of_by_labels(n, moved, e)
+                yield (n, moved, e), list(got.items()), list(want.items())
 
 
 def reachable():

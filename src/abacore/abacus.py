@@ -29,15 +29,9 @@ def render_abacus(symbols, window):
 
 
 def _beads_in(sym, lo, hi):
+    """The beads of sym in [lo, hi], read off a window whose bottom is at or below lo."""
     p, m = sym.partition, sym.charge
-    rows = max(len(p), m - lo, 0)
-    if rows == 0:
-        # charge at or below the window and no parts: all beads sit below lo
-        return frozenset()
-    beads = {b for b in _beta_window(p, m, rows) if lo <= b <= hi}
-    # if the window bottom sits above lo, everything underneath it is full
-    beads.update(range(lo, min(m - rows, hi + 1)))
-    return beads
+    return {b for b in _beta_window(p, m, max(len(p), m - lo)) if lo <= b <= hi}
 
 
 def _header(lo, hi):

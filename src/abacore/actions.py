@@ -19,13 +19,16 @@ The two sides are one rule: the left action of a word w with parameter l
 is the right action of w^-1 (the word reversed, t and T swapped) with
 parameter -l.  Likewise duality_transport is psi of s_i with the shift -l,
 run on the runner bead lists of the transpose, and pair_symbols with
-|X| > |Y| is the |X| <= |Y| case on (-Y, -X), negated back.  sigma_star
-moves beads of the windows its signature is read from (nodes._letters).
+|X| > |Y| is the |X| <= |Y| case on (-Y, -X), negated back.
+sigma_ordinary and sigma_star edit rows: each letter of the i-signature,
+read off the rows (nodes._letters), lengthens or shortens one row, and one
+pass applies them all (nodes._grow).  duality_transport stays on the bead
+windows of the transpose, an independent route to sigma_star.
 """
 
 from bisect import bisect_right
 
-from .nodes import _checked_residue, _letters, _reduce
+from .nodes import _checked_residue, _grow, _letters, _reduce
 from .partitions import _as_int, _as_ints, _charge_tuple, _checked
 from .quotients import _move, _relabel, _symbols, _windows
 
@@ -164,16 +167,14 @@ def _psi(mp, charges, word, shift):
 
 
 def sigma_ordinary(i, mp, charges, e):
-    """Toggle every addable and every removable i-node at once.
+    """Toggle every addable and every removable i-node at once: every letter
+    of the i-signature, an A adding its node and an R removing its node.
 
     On each component's abacus that swaps positions x and x + 1 for every
-    x = i - 1 (mod e).  With the charges shifted by 1 - i, these pairs start
-    on multiples of e, and so does the common window bottom.
+    x = i - 1 (mod e), so the toggled diagram is again a partition.
     """
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
-    step = (1, -1) + (0,) * (e - 2)
-    windows, bottom = _windows(mp, [s + 1 - i for s in charges], e)
-    return _symbols([[y + step[y % e] for y in w] for w in windows], bottom)[0]
+    return _grow(mp, _letters(mp, charges, e, i))
 
 
 def sigma_star(i, mp, charges, e):
@@ -184,26 +185,17 @@ def sigma_star(i, mp, charges, e):
     other letter and cancellation in place, and adding the good addable
     (rightmost surviving A) works the same way.  So one signature gives all
     moves: remove its first r - a surviving R's, or add its last a - r
-    surviving A's, each a bead step on the windows it was read from.  The
-    test oracle sigma_star_by_moves in tests/oracle.py rebuilds the
+    surviving A's, each lengthening or shortening one row, all in one pass.
+    The test oracle sigma_star_by_moves in tests/oracle.py rebuilds the
     signature from the diagram cells after every move instead.  Meant for
     multipartitions reachable from the empty one by good-node additions;
     there it is an involution and preserves the block weight.
     """
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
-    windows, bottom = _windows(mp, charges, below=1)
-    letters = _letters(windows, bottom, e, i)
-    reduced = [letters[k] for k in _reduce(letters)]
+    reduced = _reduce(_letters(mp, charges, e, i))
     a = sum(1 for letter in reduced if letter[2] == "A")
     r = len(reduced) - a
-    if a == r:
-        return mp
-    beads = [set(w) for w in windows]
-    for content, neg, letter, _ in reduced[min(a, r) : max(a, r)]:
-        old, new = (content, content - 1) if letter == "R" else (content - 1, content)
-        beads[-neg].remove(old)
-        beads[-neg].add(new)
-    return _symbols(beads, bottom)[0]
+    return _grow(mp, reduced[min(a, r) : max(a, r)])
 
 
 def duality_transport(i, mp, charges, e):

@@ -8,9 +8,10 @@ are ordered by increasing content, ties broken by decreasing component
 index (at equal content the later component comes first); that single
 order is what the signature machinery uses everywhere.
 
-The signature is read on the level abacus (_letters): an addable i-node
-is a bead below an empty slot, a removable one a bead above an empty slot,
-and Nodes are built only where a public function returns them.
+The signature is read off the rows (_letters): every letter belongs to one
+row, the addable node at its end or the removable node ending it, and every
+crystal move lengthens or shortens one row (_grow).  Nodes are built only
+where a public function returns them.
 """
 
 from typing import NamedTuple
@@ -23,7 +24,6 @@ from .partitions import (
     as_partition,
     check_modulus,
 )
-from .quotients import _windows
 
 
 class Node(NamedTuple):
@@ -74,34 +74,36 @@ def _checked_residue(mp, charges, e, i):
     return mp, charges, e, _check_residue(i, e)
 
 
-def _letters(windows, bottom, e, i):
-    """The i-signature letters (content, -component, letter, row) of bead
-    windows that all hold a bead at bottom and are full below it, in node
-    order.  An addable i-node is a bead b with b + 1 empty and b + 1 = i
-    (mod e), at content b + 1; a removable one a bead b > bottom with b - 1
-    empty and b = i (mod e), at content b; its row counts the beads at or
-    above b.  Test oracle: letters_by_cells in tests/oracle.py.
+def _letters(mp, charges, e, i):
+    """The i-signature letters (content, -component, letter, row, column) of
+    validated input, in node order.  Each component gets one zero row below
+    its last; row a, of length k, ends at content x = k - a + s_c.  It has an
+    addable i-node at x + 1 = i (mod e) when a = 1 or the row above is
+    longer, and a removable one at x = i (mod e) when k > 0 and the row below
+    is shorter.  Test oracle: letters_by_cells in tests/oracle.py.
     """
-    letters, before = [], (i - 1) % e
-    for c, w in enumerate(windows):
-        beads = set(w)
-        for row, b in zip(range(len(w), 0, -1), w):
-            if b % e == before and b + 1 not in beads:
-                letters.append((b + 1, -c, "A", row))
-            elif b % e == i and b - 1 not in beads and b > bottom:
-                letters.append((b, -c, "R", row))
+    letters = []
+    for c, (p, s) in enumerate(zip(mp, charges)):
+        rows = (*p, 0)
+        for a, k in enumerate(rows, 1):
+            x = k - a + s
+            if (x + 1 - i) % e == 0:
+                if a == 1 or rows[a - 2] > k:
+                    letters.append((x + 1, -c, "A", a, k + 1))
+            elif (x - i) % e == 0 and k and k > rows[a]:
+                letters.append((x, -c, "R", a, k))
     letters.sort()
     return letters
 
 
 def _reduce(letters):
-    """Positions of the _letters that survive deleting adjacent R, A pairs."""
+    """The _letters that survive deleting adjacent R, A pairs."""
     stack = []
-    for k, item in enumerate(letters):
-        if item[2] == "A" and stack and letters[stack[-1]][2] == "R":
+    for item in letters:
+        if item[2] == "A" and stack and stack[-1][2] == "R":
             stack.pop()  # this A cancels the R just before it
         else:
-            stack.append(k)
+            stack.append(item)
     return stack
 
 
@@ -156,43 +158,53 @@ def i_signature(mp, charges, e, i):
 
 def _signature(mp, charges, e, i):
     """i_signature of validated input; its Nodes are built only here."""
-    letters = _letters(*_windows(mp, charges, below=1), e, i)
-    pairs = [(x, Node(row, b + row - charges[-neg], -neg)) for b, neg, x, row in letters]
-    return Signature(tuple(pairs), tuple(pairs[k] for k in _reduce(letters)))
+    letters = _letters(mp, charges, e, i)
+    pairs = {x: (x[2], Node(x[3], x[4], -x[1])) for x in letters}
+    return Signature(tuple(pairs.values()), tuple(map(pairs.get, _reduce(letters))))
 
 
-def _cell(mp, node, cells):
-    """A multipartition and a node among the `cells` of its component, validated."""
+def _cell(mp, node, cells, letter):
+    """A multipartition and a node among the `cells` of its component,
+    validated; the node as a one-letter list for _grow, which reads no content."""
     mp, node = as_multipartition(mp), _as_node(node)
     if node.comp not in range(len(mp)) or node not in cells(mp[node.comp], node.comp):
         raise ValueError(f"{node!r} is not among the {cells.__name__} of {mp!r}")
-    return mp, node
+    return mp, [(None, -node.comp, letter, node.row, node.col)]
 
 
-def _grow(mp, node, step):
-    """mp with the row of node lengthened by step: 1 adds it, -1 removes it."""
-    p = [*mp[node.comp], 0]
-    p[node.row - 1] += step
-    return mp[: node.comp] + (tuple(p[: len(p) - p.count(0)]),) + mp[node.comp + 1 :]
+def _grow(mp, letters):
+    """mp with every letter's row edited in one pass: an "A" lengthens it by
+    one node, an "R" shortens it by one.  Each touched component is copied
+    once as its rows and one zero row."""
+    edited = {}
+    for _, neg, letter, row, _ in letters:
+        rows = edited.get(-neg)
+        if rows is None:
+            rows = edited[-neg] = [*mp[-neg], 0]
+        rows[row - 1] += 1 if letter == "A" else -1
+    mp = list(mp)
+    for c, rows in edited.items():
+        mp[c] = tuple(rows[: len(rows) - rows.count(0)])
+    return tuple(mp)
 
 
 def add_node(mp, node):
-    return _grow(*_cell(mp, node, addable_cells), 1)
+    return _grow(*_cell(mp, node, addable_cells, "A"))
 
 
 def remove_node(mp, node):
-    return _grow(*_cell(mp, node, removable_cells), -1)
+    return _grow(*_cell(mp, node, removable_cells, "R"))
 
 
 def e_tilde(i, mp, charges, e):
-    """Add the good addable i-node; None when the reduced word has no A."""
+    """Add the good addable i-node, the last surviving A; None when there is none."""
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
-    node = _signature(mp, charges, e, i).good_addable
-    return None if node is None else _grow(mp, node, 1)
+    good = [x for x in _reduce(_letters(mp, charges, e, i)) if x[2] == "A"][-1:]
+    return _grow(mp, good) if good else None
 
 
 def f_tilde(i, mp, charges, e):
-    """Remove the good removable i-node; None when the reduced word has no R."""
+    """Remove the good removable i-node, the first surviving R; None when there is none."""
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
-    node = _signature(mp, charges, e, i).good_removable
-    return None if node is None else _grow(mp, node, -1)
+    good = [x for x in _reduce(_letters(mp, charges, e, i)) if x[2] == "R"][:1]
+    return _grow(mp, good) if good else None

@@ -78,10 +78,10 @@ def _residue_table(src, dst, e, l):
     return table, period, dst_width, dst_period
 
 
-def _windows(mp, charges, period=1, below=0):
+def _windows(mp, charges, period=1):
     """Beta windows of validated symbols over one common bottom, a multiple
-    of period at least `below` under where every component is full."""
-    bottom = min(s - len(p) for p, s in zip(mp, charges)) - below
+    of period at or under where every component is full."""
+    bottom = min(s - len(p) for p, s in zip(mp, charges))
     bottom -= bottom % period
     return [_beta_window(p, s, s - bottom) for p, s in zip(mp, charges)], bottom
 

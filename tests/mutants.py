@@ -31,6 +31,11 @@ BLOCKS = "tests/test_blocks.py::"
 CLI = "tests/test_cli.py::"
 PARTITIONS = "tests/test_partitions.py::"
 NODES = "tests/test_nodes.py::"
+ACTIONS = "tests/test_actions.py::"
+CELL_ROUTE = NODES + "test_signature_matches_the_cell_route_exhaustively"
+LONG = NODES + "test_long_signatures_match_the_cell_route"
+STAR_MOVES = ACTIONS + "test_sigma_star_matches_the_move_oracle_exhaustively"
+TOGGLES = ACTIONS + "test_sigma_toggles_the_boundary"
 NON_ITERABLE = PARTITIONS + "test_non_iterable_arguments_are_value_errors"
 ROW_ORDER = CLI + "test_text_values_are_parsed_after_argparse_in_row_order"
 REFUSED = NODES + "test_node_and_word_helpers_refuse_bad_input_with_value_errors"
@@ -288,6 +293,51 @@ MUTANTS = (
         "            if kwargs.get(\"required\"):\n                return None\n",
         "",
         (ROW_ORDER, CLI + "test_cached_parser_matches_the_full_parser[core]"),
+    ),
+    # the crystal read and edited on rows: nodes._letters and nodes._grow
+    (
+        "letters-without-the-row-above-test",
+        "nodes.py",
+        "                if a == 1 or rows[a - 2] > k:\n",
+        "                if True:\n",
+        (CELL_ROUTE, STAR_MOVES),
+    ),
+    (
+        "letters-content-moved-by-one",
+        "nodes.py",
+        "            x = k - a + s\n",
+        "            x = k - a + s + 1\n",
+        (CELL_ROUTE, STAR_MOVES, LONG),
+    ),
+    (
+        # letters of equal content then keep the components in increasing
+        # order instead of the later component first
+        "letters-sorted-without-the-component",
+        "nodes.py",
+        "    letters.sort()\n",
+        "    letters.sort(key=lambda x: x[0])\n",
+        (CELL_ROUTE, STAR_MOVES),
+    ),
+    (
+        "sigma-ordinary-toggles-only-addable-letters",
+        "actions.py",
+        "    return _grow(mp, _letters(mp, charges, e, i))\n",
+        '    return _grow(mp, [x for x in _letters(mp, charges, e, i) if x[2] == "A"])\n',
+        (TOGGLES, ACTIONS + "test_sigma_example", LONG),
+    ),
+    (
+        "grow-ignores-removals",
+        "nodes.py",
+        'rows[row - 1] += 1 if letter == "A" else -1',
+        'rows[row - 1] += letter == "A"',
+        (STAR_MOVES, TOGGLES, LONG),
+    ),
+    (
+        "render-window-bottom-at-the-partition",
+        "abacus.py",
+        "max(len(p), m - lo)",
+        "len(p)",
+        (PARTITIONS + "test_render_abacus_lines_are_the_beads_in_the_window",),
     ),
     # node and word helpers refuse bad input with ValueError
     (

@@ -5,7 +5,8 @@ touch beta-numbers, so agreement with the abacus routes is an actual check
 and not a tautology.  The move-by-move routes replay the definitions the
 library replaced by closed forms: generalized_core_by_moves runs elementary
 operations to their fixed point, sigma_star_by_moves rebuilds the signature
-from the diagram cells (letters_by_cells) after every good-node move.
+from the diagram cells (letters_by_cells) after every good-node move, and
+sigma_ordinary_by_cells toggles every cell that letters_by_cells finds.
 block_label_by_relabel reads block labels off the bead relabel, and
 transports_by_transpose runs duality_transport through the partitions of
 the transposed e-symbol, the routes the library replaced by row and
@@ -431,6 +432,15 @@ def move_node(mp, node, step):
     p = list(mp[c]) + [0]
     p[row - 1] += step
     return mp[:c] + (tuple(x for x in p if x),) + mp[c + 1 :]
+
+
+def sigma_ordinary_by_cells(i, mp, charges, e):
+    """sigma_ordinary on the diagram: add every addable and remove every
+    removable cell of residue i, one cell at a time, the additions first so
+    that no removal has shortened a row list an addition indexes."""
+    for letter, node in sorted(letters_by_cells(mp, charges, e, i), key=lambda x: x[0]):
+        mp = move_node(mp, node, 1 if letter == "A" else -1)
+    return mp
 
 
 def sigma_star_by_moves(i, mp, charges, e):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -147,6 +148,44 @@ def test_crystal_operators_are_partial_inverses(data):
         down = f_tilde(i, mp, charges, e)
         if down is not None:
             assert e_tilde(i, down, charges, e) == mp
+
+
+def _long_signature_case(seed):
+    """A multipartition with 20-60 removable i-nodes, several per component:
+    row a of component j ends at c + a + e*d_a with c = i - s_j (mod e) and d
+    strictly decreasing, so every row ends in a removable i-node."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 5), rng.randint(1, 3)
+    i, k = rng.randrange(e), rng.randint(20, 60)
+    charges = tuple(rng.randint(-4, 4) for _ in range(l))
+    mp = []
+    for s in charges:
+        c, d, parts = (i - s) % e, 0, []
+        for a in range(k // l, 0, -1):
+            d += rng.randint(1, 2)
+            parts.append(c + a + e * d)
+        mp.append(tuple(reversed(parts)))
+    return tuple(mp), charges, e, i
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_long_signatures_match_the_cell_route(seed):
+    # sigma_star removes many R's of one component in one pass, and on its
+    # image adds as many A's back
+    mp, charges, e, i = _long_signature_case(seed)
+    assert len(oracle.letters_by_cells(mp, charges, e, i)) >= 20
+    for mp in (mp, sigma_star(i, mp, charges, e)):
+        letters = oracle.letters_by_cells(mp, charges, e, i)
+        reduced = oracle.reduce_letters(letters)
+        sig = i_signature(mp, charges, e, i)
+        assert sig.letters == tuple(letters) and sig.reduced == tuple(reduced)
+        assert sigma_star(i, mp, charges, e) == oracle.sigma_star_by_moves(i, mp, charges, e)
+        toggled = oracle.sigma_ordinary_by_cells(i, mp, charges, e)
+        assert sigma_ordinary(i, mp, charges, e) == toggled
+        rem = [node for x, node in reduced if x == "R"][:1]
+        add = [node for x, node in reduced if x == "A"][-1:]
+        assert f_tilde(i, mp, charges, e) == (oracle.move_node(mp, *rem, -1) if rem else None)
+        assert e_tilde(i, mp, charges, e) == (oracle.move_node(mp, *add, 1) if add else None)
 
 
 def test_add_remove_node_edges():

@@ -124,6 +124,27 @@ def test_shift_symbol_moves_the_window(p, m, r):
     assert t.window(rows) == tuple(b + r for b in s.window(rows))
 
 
+def _runner_line(sym, lo, hi):
+    """The abacus line of sym over [lo, hi], read off its rows."""
+    p, m = sym
+    beads = oracle.beads_above(p, m, min(lo, m - len(p)))
+    return "".join("X" if j in beads else "." for j in range(lo, hi + 1))
+
+
+def test_render_abacus_lines_are_the_beads_in_the_window():
+    # lo below, at and above m - len(p), where the symbol's full tail starts;
+    # the second runner is drawn on top
+    other = Symbol((2,), 1)
+    for n in range(6):
+        for p in partitions_of(n):
+            for m in range(-3, 4):
+                sym = Symbol(p, m)
+                for lo in range(m - len(p) - 3, m - len(p) + 4):
+                    for hi in (lo, lo + 2, lo + 9):
+                        _, *lines = render_abacus([sym, other], (lo, hi)).split("\n")
+                        assert lines == [_runner_line(other, lo, hi), _runner_line(sym, lo, hi)]
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,11 +1,11 @@
-"""The crystal, the duality transport, the orbit test, the Uglov set
-generator, blocks_of, reachable_multicharges and realize_multicharge against
-their oracles on the wide grids.
+"""The crystal, sigma_ordinary, the duality transport, the orbit test, the
+Uglov set generator, blocks_of, reachable_multicharges and
+realize_multicharge against their oracles on the wide grids.
 
     PYTHONPATH=src:tests python tests/wide_agreement.py
 
-For every case of oracle.WIDE_CRYSTAL_GRID and every residue i, i_signature
-and sigma_star are checked against the diagram-cell route and
+For every case of oracle.WIDE_CRYSTAL_GRID and every residue i, i_signature,
+sigma_star and sigma_ordinary are checked against the diagram-cell route and
 duality_transport against the transpose route.  orbit_equivalent is checked
 against the orbit search on the 63273 label pairs of oracle.WIDE_ORBIT_GRID.
 uglov_set is checked against the FLOTW filter on the 2615 cases of
@@ -43,6 +43,7 @@ from abacore import (
     orbit_equivalent,
     reachable_multicharges,
     realize_multicharge,
+    sigma_ordinary,
     sigma_star,
     uglov_set,
 )
@@ -57,6 +58,13 @@ def crystal():
             star = oracle.sigma_star_by_moves(i, mp, charges, e)
             want = tuple(letters), tuple(oracle.reduce_letters(letters)), star
             yield (i, mp, charges, e), (sig.letters, sig.reduced, sigma_star(i, mp, charges, e)), want
+
+
+def ordinary():
+    for mp, charges, e in oracle.bead_grid(**oracle.WIDE_CRYSTAL_GRID):
+        for i in range(e):
+            got = sigma_ordinary(i, mp, charges, e)
+            yield (i, mp, charges, e), got, oracle.sigma_ordinary_by_cells(i, mp, charges, e)
 
 
 def transport():
@@ -118,7 +126,7 @@ def realize():
 
 
 def main():
-    for check in (crystal, transport, orbit, flotw, blocks, reachable, realize):
+    for check in (crystal, ordinary, transport, orbit, flotw, blocks, reachable, realize):
         count = 0
         for case, got, want in check():
             if got != want:

@@ -1,6 +1,9 @@
 """Plain-text rendering of abaci."""
 
-from .partitions import _as_int, _as_symbol, _beta_window
+from .partitions import _as_int, _as_symbol
+from .quotients import _rows
+
+_DRAW = bytes.maketrans(b"\0\1", b".X")
 
 
 def render_abacus(symbols, window):
@@ -22,16 +25,13 @@ def render_abacus(symbols, window):
         symbols = iter(symbols)
     except TypeError:
         raise ValueError(f"expected a sequence of symbols, got {symbols!r}") from None
-    for s in reversed([*map(_as_symbol, symbols)]):
-        beads = _beads_in(s, lo, hi)
-        lines.append("".join("X" if j in beads else "." for j in range(lo, hi + 1)))
+    width = hi + 1 - lo
+    for p, m in reversed([*map(_as_symbol, symbols)]):
+        (row,), bottom = _rows((p,), (m,))
+        below = min(max(bottom - lo, 0), width)  # window positions under the row
+        beads = b"\1" * below + row[lo - bottom + below : hi + 1 - bottom]
+        lines.append(beads.translate(_DRAW).ljust(width, b".").decode())
     return "\n".join(lines)
-
-
-def _beads_in(sym, lo, hi):
-    """The beads of sym in [lo, hi], read off a window whose bottom is at or below lo."""
-    p, m = sym.partition, sym.charge
-    return {b for b in _beta_window(p, m, max(len(p), m - lo)) if lo <= b <= hi}
 
 
 def _header(lo, hi):

@@ -18,19 +18,20 @@ identity.
 The two sides are one rule: the left action of a word w with parameter l
 is the right action of w^-1 (the word reversed, t and T swapped) with
 parameter -l.  Likewise duality_transport is psi of s_i with the shift -l,
-run on the runner bead lists of the transpose, and pair_symbols with
-|X| > |Y| is the |X| <= |Y| case on (-Y, -X), negated back.
+run on two runners of the transpose, and pair_symbols with |X| > |Y| is the
+|X| <= |Y| case on (-Y, -X), negated back.
 sigma_ordinary and sigma_star edit rows: each letter of the i-signature,
 read off the rows (nodes._letters), lengthens or shortens one row, and one
-pass applies them all (nodes._grow).  duality_transport stays on the bead
-windows of the transpose, an independent route to sigma_star.
+pass applies them all (nodes._grow).  duality_transport stays on bead rows
+(quotients._rows), an independent route to sigma_star.
 """
 
 from bisect import bisect_right
+from itertools import compress
 
 from .nodes import _checked_residue, _grow, _letters, _reduce
 from .partitions import _as_int, _as_ints, _charge_tuple, _checked
-from .quotients import _move, _relabel, _symbols, _windows
+from .quotients import _rows, _symbols
 
 
 def parse_word(word, rank):
@@ -126,14 +127,20 @@ def _negated(seq):
     return tuple(-v for v in reversed(seq))
 
 
+def _pair_rows(x, y):
+    """_pair of the beads of two rows of one length, as two such rows."""
+    rows = bytearray(len(x)), bytearray(len(x))
+    for row, beads in zip(rows, _pair(*(list(compress(range(len(x)), r)) for r in (x, y)))):
+        for b in beads:
+            row[b] = 1
+    return rows
+
+
 def _pair_components(mp, charges, c):
     """Replace components (c-1, c) by their pairing; their charges swap."""
-    (X, Y), bottom = _windows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
-    pair, pair_charges = _symbols(_pair(X, Y), bottom)
-    return (
-        mp[: c - 1] + pair + mp[c + 1 :],
-        charges[: c - 1] + pair_charges + charges[c + 1 :],
-    )
+    rows, bottom = _rows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
+    pair, pair_charges = _symbols(_pair_rows(*rows), bottom)
+    return mp[: c - 1] + pair + mp[c + 1 :], charges[: c - 1] + pair_charges + charges[c + 1 :]
 
 
 def psi(mp, charges, word, e):
@@ -201,25 +208,27 @@ def sigma_star(i, mp, charges, e):
 def duality_transport(i, mp, charges, e):
     """sigma_star computed on the other side of the level-rank transpose.
 
-    Relabel the level beads onto the runners of the transpose and apply psi
-    of s_i there with the shift -l: pair runners i-1 and i.  For i = 0,
-    s_0 = T s_1 t pairs runner e-1 raised by l with runner 0; as pairing
-    commutes with translation, pair runner e-1 with runner 0 lowered by l
-    instead and raise the second result by l, over a bottom l lower.  Then
-    _move the runners back.  Test oracle: transports_by_transpose in
-    tests/oracle.py.
+    Apply psi of s_i with the shift -l to the transpose: pair runners i-1 and
+    i, read out of the level rows (runner c holds d + l*k when component
+    l-1-d holds c + e*k), l strided slices each, and written back; no other
+    runner moves.  s_0 = T s_1 t pairs runner e-1 raised by l with runner 0;
+    as pairing commutes with translation, pair runner e-1 with runner 0
+    lowered by l and raise the second result by l, on rows padded by e.
+    Test oracle: transports_by_transpose in tests/oracle.py.
     """
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
     l = len(mp)
-    runners, bottom = _relabel(mp, charges, e, l, "level", "rank")
-    if i:
-        runners[i - 1], runners[i] = _pair(sorted(runners[i - 1]), sorted(runners[i]))
-    else:
-        pad = range(bottom - l, bottom)
-        top, low = _pair([*pad, *sorted(runners[-1])], sorted(x - l for x in runners[0]))
-        runners = [[*pad, *(y + l for y in low)], *([*pad, *r] for r in runners[1:-1]), top]
-        bottom -= l
-    new_mp, new_charges = _symbols(*_move(runners, bottom, e, l, "rank", "level"))
+    rows, bottom = _rows(mp, charges, e, 0 if i else e)
+    levels, a, size = rows[::-1], (i - 1) % e, len(rows[0]) // e * l
+    x, y = bytearray(size), bytearray(size)
+    for d, row in enumerate(levels):
+        x[d::l], y[d::l] = row[a::e], row[i::e]
+    lift = 0 if i else l
+    x, y = _pair_rows(x, y[lift:] + bytes(lift))
+    y = b"\1" * lift + y[: len(y) - lift]
+    for d, row in enumerate(levels):
+        row[a::e], row[i::e] = x[d::l], y[d::l]
+    new_mp, new_charges = _symbols(rows, bottom)
     if new_charges != charges:
         raise RuntimeError("duality transport changed the level charges")
     return new_mp

@@ -59,7 +59,7 @@ def as_partition(p):
     p = _as_ints(p)
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(map(operator.lt, p, p[1:])) or (p and p[-1] < 0):
+    if len(p) > 1 and list(p) != sorted(p, reverse=True) or (p and p[-1] < 0):
         raise ValueError(f"not a partition: {p}")
     return p
 
@@ -135,11 +135,6 @@ def partition_of_symbol(betas, m):
         raise ValueError("symbol entries must be strictly increasing")
     if betas and betas[0] + len(betas) < m:
         raise ValueError("symbol window does not match the charge")
-    return _partition_of_window(betas, m)
-
-
-def _partition_of_window(betas, m):
-    """partition_of_symbol for a strictly increasing window that matches m."""
     parts = (*map(operator.sub, reversed(betas), range(m - 1, m - 1 - len(betas), -1)),)
     return parts[: len(parts) - parts.count(0)]
 

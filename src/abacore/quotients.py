@@ -14,37 +14,38 @@ charges the core multicharge), tau_l is partition -> level (level 1 is the
 identity), tau_e_inverse and tau_l_inverse go back, and
 level_rank_transpose is level -> rank, with no big partition rebuilt.
 
-One kernel, _move, runs all five on bead windows over one common bottom,
-a multiple of the source period below which all components are full
-(_windows reads them, and _relabel is the two in a row).  It moves each
-bead with one floor division (its k) and one lookup in a residue table
-cached per (source, target, e, l).  Charges are recovered as bottom + bead
-count (_symbols), which keeps every map exact on finite data.
+Beads are kept as bead rows (_rows): one bytearray per component, one byte
+per position from a bottom shared by all components, below which all are
+full, up to the highest bead.  One kernel, _move, runs all five maps: each
+(c, d) class of beads is one strided slice copy between rows, by a residue
+table cached per (source, target, e, l).  Charges are read back as bottom +
+bead count and parts as the holes below each bead (_symbols), exactly.
 
 Block labels, the generalized core's runner charges and its weight are closed
-forms read off the rows (_runner_counts): each row moves one bead of the empty
-symbol, changing two runner counts of the transpose by one and its position sum
-by a floor-division difference, so a label is the empty symbol's plus one tally
-per component (_row_tally).  No window is built and no elementary move is
-simulated (the move-by-move fixed point is the oracle generalized_core_by_moves).
+forms read off the partition rows (_runner_counts): each row moves one bead of
+the empty symbol, changing two runner counts of the transpose by one and its
+position sum by a floor-division difference, so a label is the empty symbol's
+plus one tally per component (_row_tally).  No bead row is built and no
+elementary move is simulated (the oracle generalized_core_by_moves does).
 """
 
 import operator
 from functools import lru_cache
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .partitions import (
     _as_int,
-    _beta_window,
     _charge_tuple,
     _checked,
-    _partition_of_window,
     as_charges,
     as_multipartition,
     as_partition,
     check_modulus,
     mp_size,
 )
+
+_HOLES = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class CoreData(NamedTuple):
@@ -59,61 +60,58 @@ class GeneralizedCore(NamedTuple):
     weight: int
 
 
-# view: (number of components, period, where the bead (c, d, k=0) sits)
-_VIEWS = {
-    "partition": lambda e, l: (1, e * l, lambda c, d: (0, c + e * d)),
-    "level": lambda e, l: (l, e, lambda c, d: (l - 1 - d, c)),
-    "rank": lambda e, l: (e, l, lambda c, d: (c, d)),
-}
-
-
 @lru_cache(maxsize=256)
 def _residue_table(src, dst, e, l):
-    """The target (component, residue) of each source (component, residue),
-    the source period and the target's components and period."""
-    width, period, place = _VIEWS[src](e, l)
-    dst_width, dst_period, dst_place = _VIEWS[dst](e, l)
-    to = {place(c, d): dst_place(c, d) for c in range(e) for d in range(l)}
-    table = tuple(tuple(to[j, r] for r in range(period)) for j in range(width))
-    return table, period, dst_width, dst_period
+    """One (source component, residue, target component, residue) per bead
+    class (c, d), from where its bead with k = 0 sits, and the two periods."""
+    places = [{"partition": (0, c + e * d), "level": (l - 1 - d, c), "rank": (c, d)}
+              for c in range(e) for d in range(l)]
+    periods = {"partition": e * l, "level": e, "rank": l}
+    return tuple((*p[src], *p[dst]) for p in places), periods[src], periods[dst]
 
 
-def _windows(mp, charges, period=1):
-    """Beta windows of validated symbols over one common bottom, a multiple
-    of period at or under where every component is full."""
-    bottom = min(s - len(p) for p, s in zip(mp, charges))
-    bottom -= bottom % period
-    return [_beta_window(p, s, s - bottom) for p, s in zip(mp, charges)], bottom
+def _rows(mp, charges, period=1, pad=0):
+    """Bead rows of validated symbols: byte x of a row is 1 when position
+    bottom + x holds a bead.  The rows share the bottom and the length, both
+    multiples of period, as pad must be; they are full for at least pad
+    positions above the bottom and empty for pad below their end."""
+    bottom = min(map(operator.sub, charges, map(len, mp)))
+    bottom -= bottom % period + pad
+    top = max(s + (p[0] if p else 0) for p, s in zip(mp, charges))
+    size = (top + pad - bottom + period - 1) // period * period
+    rows = []
+    for p, s in zip(mp, charges):
+        full = s - len(p) - bottom
+        row = bytearray(b"\1" * full + bytes(size - full))
+        for x in map(operator.add, p, range(full + len(p) - 1, full - 1, -1)):
+            row[x] = 1
+        rows.append(row)
+    return rows, bottom
 
 
-def _relabel(mp, charges, e, l, src, dst):
-    """_move of the windows of validated src-view symbols."""
-    return _move(*_windows(mp, charges, _residue_table(src, dst, e, l)[1]), e, l, src, dst)
+def _move(mp, charges, e, l, src, dst):
+    """(mp, charges) of validated src-view symbols placed in the dst view: a
+    bead class goes from r + period*k to t + dst_period*k in one slice copy."""
+    moves, period, dst_period = _residue_table(src, dst, e, l)
+    rows, bottom = _rows(mp, charges, period)
+    out = [bytearray(dst_period * (len(rows[0]) // period)) for _ in range(e * l // dst_period)]
+    for j, r, k, t in moves:
+        out[k][t::dst_period] = rows[j][r::period]
+    return _symbols(out, dst_period * (bottom // period))
 
 
-def _move(windows, bottom, e, l, src, dst):
-    """Move src-view windows over a common bottom (a multiple of the src
-    period) to the dst view: unordered beads per component, and the bottom."""
-    table, period, width, dst_period = _residue_table(src, dst, e, l)
-    out = [[] for _ in range(width)]
-    for row, window in zip(table, windows):
-        for x in window:
-            j, r = row[x % period]
-            out[j].append(r + dst_period * (x // period))
-    return out, dst_period * (bottom // period)
-
-
-def _symbols(windows, bottom):
-    """(mp, charges) of bead windows that are full below a common bottom."""
-    charges = tuple(bottom + len(w) for w in windows)
-    mp = tuple(_partition_of_window(sorted(w), s) for w, s in zip(windows, charges))
-    return mp, charges
+def _symbols(rows, bottom):
+    """(mp, charges) of bead rows over a common bottom: bottom + bead count,
+    and the holes below each bead past the full prefix, the top bead first."""
+    beads = (row[row.find(0) : row.rfind(1) + 1] if 0 in row else b"" for row in rows)
+    mp = tuple(tuple(compress(accumulate(b.translate(_HOLES)), b))[::-1] for b in beads)
+    return mp, tuple(bottom + row.count(1) for row in rows)
 
 
 def tau_e(p, m, e):
     """Split (p, m) into its e-quotient and e-core multicharge."""
     p, m, e = as_partition(p), _as_int(m), check_modulus(e)
-    return _symbols(*_relabel((p,), (m,), e, 1, "partition", "rank"))
+    return _move((p,), (m,), e, 1, "partition", "rank")
 
 
 def tau_e_inverse(quotient, s_e):
@@ -121,13 +119,13 @@ def tau_e_inverse(quotient, s_e):
     quotient = as_multipartition(quotient)
     e = check_modulus(len(quotient))
     s_e = as_charges(s_e, e)
-    (p,), (m,) = _symbols(*_relabel(quotient, s_e, e, 1, "rank", "partition"))
+    (p,), (m,) = _move(quotient, s_e, e, 1, "rank", "partition")
     return p, m
 
 
 def _core_partition(s_e):
     """The e-core with validated runner charges s_e: the flush runners read back."""
-    return _symbols(*_relabel(((),) * len(s_e), s_e, len(s_e), 1, "rank", "partition"))[0][0]
+    return _move(((),) * len(s_e), s_e, len(s_e), 1, "rank", "partition")[0][0]
 
 
 def e_core_partition(p, e):
@@ -145,26 +143,26 @@ def tau_l(p, m, e, l):
     """The level-l splitting of (p, m) into an l-multipartition with charges."""
     p, m, e = as_partition(p), _as_int(m), check_modulus(e)
     l = _as_int(l, 1, "the level l must be at least 1")
-    return _symbols(*_relabel((p,), (m,), e, l, "partition", "level"))
+    return _move((p,), (m,), e, l, "partition", "level")
 
 
 def tau_l_inverse(mp, charges, e):
     """Rebuild (p, m) from a level-l splitting; m = sum(charges)."""
     mp, charges, e = _checked(mp, charges, e)
-    (p,), (m,) = _symbols(*_relabel(mp, charges, e, len(mp), "level", "partition"))
+    (p,), (m,) = _move(mp, charges, e, len(mp), "level", "partition")
     return p, m
 
 
 def level_rank_transpose(mp, charges, e):
-    """Rotate the l-abacus into an e-abacus, bead by bead.
+    """Rotate the l-abacus into an e-abacus.
 
     A bead at value v on component l-1-d goes to runner v % e at position
-    d + l * (v // e).  Agrees with tau_e of tau_l_inverse; both share the
-    relabel kernel, so the independent check is the plain-definition
-    reference in tests/oracle.py (test_maps_match_the_view_reference).
+    d + l * (v // e).  Agrees with tau_e of tau_l_inverse; both share _move,
+    so the independent check is the plain-definition reference in
+    tests/oracle.py (test_maps_match_the_view_reference).
     """
     mp, charges, e = _checked(mp, charges, e)
-    return _symbols(*_relabel(mp, charges, e, len(mp), "level", "rank"))
+    return _move(mp, charges, e, len(mp), "level", "rank")
 
 
 @lru_cache(maxsize=256)
@@ -256,7 +254,7 @@ def generalized_core(mp, charges, e):
     l = len(mp)
     _require_domain(charges, e)
     s_e, weight = _runner_counts(mp, charges, e, l)
-    core = _symbols(*_relabel(((),) * e, s_e, e, l, "rank", "level"))
+    core = _move(((),) * e, s_e, e, l, "rank", "level")
     return GeneralizedCore(*core, weight)
 
 
@@ -264,12 +262,10 @@ def is_core(mp, charges, e):
     """Nested-symbol test: X_0 within X_1 within ... within X_0 shifted by e."""
     mp, charges, e = _checked(mp, charges, e)
     _require_domain(charges, e)
-    windows, bottom = _windows(mp, charges)
-    tracked = [set(w) for w in windows]
-    for a, b in zip(tracked, tracked[1:]):
-        if not a <= b:
-            return False
-    return all(x - e < bottom or x - e in tracked[0] for x in tracked[-1])
+    rows, _ = _rows(mp, charges)
+    # X_0 shifted by e holds every position below the bottom + e
+    sets = [int.from_bytes(row, "little") for row in (*rows, b"\1" * e + rows[0])]
+    return all(a | b == b for a, b in zip(sets, sets[1:]))
 
 
 def is_core_nodewise(mp, charges, e):

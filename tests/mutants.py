@@ -32,6 +32,7 @@ CLI = "tests/test_cli.py::"
 PARTITIONS = "tests/test_partitions.py::"
 NODES = "tests/test_nodes.py::"
 ACTIONS = "tests/test_actions.py::"
+QUOTIENTS = "tests/test_quotients.py::"
 CELL_ROUTE = NODES + "test_signature_matches_the_cell_route_exhaustively"
 LONG = NODES + "test_long_signatures_match_the_cell_route"
 STAR_MOVES = ACTIONS + "test_sigma_star_matches_the_move_oracle_exhaustively"
@@ -42,6 +43,10 @@ REFUSED = NODES + "test_node_and_word_helpers_refuse_bad_input_with_value_errors
 TIES = BLOCKS + "test_realize_breaks_ties_by_component_sizes_then_changes"
 REGULAR_LISTS = (
     PARTITIONS + "test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first"
+)
+WIDE_MAPS = QUOTIENTS + "test_maps_match_the_view_reference_on_wide_spans"
+LONG_TRANSPORTS = (
+    ACTIONS + "test_transport_matches_sigma_star_and_the_transpose_route_on_long_inputs"
 )
 
 MUTANTS = (
@@ -208,6 +213,42 @@ MUTANTS = (
         (BLOCKS + "test_block_label_matches_the_relabel_route_exhaustively",
          BLOCKS + "test_block_id_matches_the_long_route_exhaustively"),
     ),
+    # the bead rows behind the five maps, the transport and psi
+    (
+        "move-target-stepped-by-the-source-period",
+        "quotients.py",
+        "out[k][t::dst_period] = rows[j][r::period]",
+        "out[k][t::period] = rows[j][r::period]",
+        (WIDE_MAPS, QUOTIENTS + "test_maps_match_the_view_reference"),
+    ),
+    (
+        "rows-bottom-unrounded",
+        "quotients.py",
+        "bottom -= bottom % period + pad",
+        "bottom -= pad",
+        (WIDE_MAPS, QUOTIENTS + "test_round_trips_on_wide_spans"),
+    ),
+    (
+        "symbols-parts-read-from-the-bottom",
+        "quotients.py",
+        "row[row.find(0) : row.rfind(1) + 1] if 0 in row",
+        "row[: row.rfind(1) + 1] if 0 in row",
+        (WIDE_MAPS, QUOTIENTS + "test_transpose_example", LONG_TRANSPORTS),
+    ),
+    (
+        "transport-pad-of-l-at-i-zero",
+        "actions.py",
+        "_rows(mp, charges, e, 0 if i else e)",
+        "_rows(mp, charges, e, 0 if i else l)",
+        (LONG_TRANSPORTS,),
+    ),
+    (
+        "partition-order-checked-ascending",
+        "partitions.py",
+        "list(p) != sorted(p, reverse=True)",
+        "list(p) != sorted(p)",
+        (PARTITIONS + "test_as_partition_rejects_junk",),
+    ),
     # the cli.run memo and the boundary checks that came with it
     (
         "memo-no-eviction",
@@ -335,8 +376,8 @@ MUTANTS = (
     (
         "render-window-bottom-at-the-partition",
         "abacus.py",
-        "max(len(p), m - lo)",
-        "len(p)",
+        'beads = b"\\1" * below + row[',
+        "beads = row[",
         (PARTITIONS + "test_render_abacus_lines_are_the_beads_in_the_window",),
     ),
     # node and word helpers refuse bad input with ValueError

@@ -7,12 +7,13 @@ library replaced by closed forms: generalized_core_by_moves runs elementary
 operations to their fixed point, sigma_star_by_moves rebuilds the signature
 from the diagram cells (letters_by_cells) after every good-node move, and
 sigma_ordinary_by_cells toggles every cell that letters_by_cells finds.
-block_label_by_relabel reads block labels off the bead relabel, and
+block_label_by_relabel reads block labels off the transpose, and
 transports_by_transpose runs duality_transport through the partitions of
-the transposed e-symbol, the routes the library replaced by row and
-runner-bead kernels.  fayers_weight is the abacus-free residue-count
-weight.  relabel_by_definition places the beads of a symbol in another view
-straight from the (c, d, k) table, without the library's windows or kernel.
+the transposed e-symbol, both placed by relabel_by_definition: the routes
+the library replaced by row tallies and by two runners of bead rows.
+fayers_weight is the abacus-free residue-count weight.
+relabel_by_definition places the beads of a symbol in another view straight
+from the (c, d, k) table, without the library's rows or kernel.
 uglov_set_by_crystal builds the Uglov layers with the crystal operators,
 uglov_set_by_filter keeps the multipartitions of n that meet the FLOTW
 conditions (the route the library's generator replaced), and
@@ -41,12 +42,10 @@ from abacore import (
     count_nodes_by_residue,
     e_tilde,
     level_multicharge,
-    level_rank_transpose,
     tau_e_inverse,
 )
 from abacore.actions import _psi
 from abacore.partitions import beta_set, multipartitions_of, partition_of_symbol
-from abacore.quotients import _relabel, _symbols
 
 
 def partitions_of(n, max_part=None):
@@ -290,7 +289,7 @@ def realize_by_greedy(start, target, e):
         buckets[d].add(add)
         counts[c] -= 1
         counts[cp] += 1
-    return _symbols(buckets[::-1], bottom)[0]
+    return tuple(symbol_of_beads(b, bottom)[0] for b in buckets[::-1])
 
 
 # 2540 pairs; tests/wide_agreement.py checks realize_multicharge on them
@@ -459,24 +458,21 @@ def sigma_star_by_moves(i, mp, charges, e):
 
 
 def block_label_by_relabel(mp, charges, e):
-    """block_id through the bead relabel: the runner charges of the
-    level-rank transpose are its bead counts over the rank bottom, and the
-    weight is its bead sums less those of the flush runners."""
+    """block_id through the plain (c, d, k) placement: the runner charges of
+    the level-rank transpose are its charges, and the weight is its size."""
     l = len(mp)
-    runners, rbottom = _relabel(mp, charges, e, l, "level", "rank")
-    s_e = tuple(rbottom + len(r) for r in runners)
-    weight = sum(sum(r) - len(r) * (2 * rbottom + len(r) - 1) // 2 for r in runners)
-    return BlockId(s_e, weight, e, l, sum(charges))
+    mp_e, s_e = relabel_by_definition(mp, charges, e, l, "level", "rank")
+    return BlockId(s_e, sum(map(sum, mp_e)), e, l, sum(charges))
 
 
 def transports_by_transpose(mp, charges, e):
     """duality_transport for every i through the whole transposed e-symbol:
     psi of s_i with the shift -l on the partitions of the transpose (s_0 as
-    T s_1 t), then the rank -> level relabel back."""
+    T s_1 t), each map between the views by the plain (c, d, k) placement."""
     l = len(mp)
-    mp_e, s_e = level_rank_transpose(mp, charges, e)
+    mp_e, s_e = relabel_by_definition(mp, charges, e, l, "level", "rank")
     images = (_psi(mp_e, s_e, ("s%d" % i,), -l) for i in range(e))
-    return [_symbols(*_relabel(*image, e, l, "rank", "level"))[0] for image in images]
+    return [relabel_by_definition(*image, e, l, "rank", "level")[0] for image in images]
 
 
 def fayers_weight(mp, charges, e):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,16 +197,43 @@ def test_transport_matches_the_transpose_route_exhaustively():
             assert duality_transport(i, mp, charges, e) == want
 
 
+def _long_transport_case(seed):
+    """A seeded multipartition at closed-domain charges, l <= 5 and e <= 6,
+    with 10-30 rows per component, each ending in a removable node of one
+    residue, so the i-signature of that residue is long."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 6), rng.randint(1, 5)
+    i, low = rng.randrange(e), rng.randint(-50, 50)
+    charges = tuple(sorted(low + rng.randrange(e) for _ in range(l)))
+    mp = []
+    for s in charges:
+        c, d, parts = (i - s) % e, 0, []
+        for a in range(rng.randint(10, 30), 0, -1):
+            d += rng.randint(1, 2)
+            parts.append(c + a + e * d)
+        mp.append(tuple(reversed(parts)))
+    return tuple(mp), charges, e
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transport_matches_sigma_star_and_the_transpose_route_on_long_inputs(seed):
+    # every i, with i = 0 padding the rows and wrapping runner e-1 onto runner 0
+    mp, charges, e = _long_transport_case(seed)
+    want = oracle.transports_by_transpose(mp, charges, e)
+    for i in range(e):
+        got = duality_transport(i, mp, charges, e)
+        assert got == want[i] == sigma_star(i, mp, charges, e)
+
+
 def test_transport_checks_the_level_charges(monkeypatch):
     # the guard on the returned value must survive python -O; the return
-    # path is the one rank -> level _move, here with its bottom shifted
-    real_move = abacore.actions._move
+    # path is the one read of the level rows, here with its bottom shifted
+    real_symbols = abacore.actions._symbols
 
-    def drifting_move(*args):
-        windows, bottom = real_move(*args)
-        return windows, bottom + 1
+    def drifting_symbols(rows, bottom):
+        return real_symbols(rows, bottom + 1)
 
-    monkeypatch.setattr(abacore.actions, "_move", drifting_move)
+    monkeypatch.setattr(abacore.actions, "_symbols", drifting_symbols)
     with pytest.raises(RuntimeError):
         duality_transport(1, ((1,), ()), (0, 1), 2)
 

@@ -2,6 +2,7 @@
 oracle that strips rim hooks by hand."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +171,50 @@ def test_maps_match_the_view_reference():
         assert level_rank_transpose(mp, charges, e) == (mp_e, s_e)
         want = _one(ref(mp_e, s_e, e, 1, "rank", "partition"))
         assert tau_e_inverse(mp_e, s_e) == want
+
+
+def _wide_case(seed):
+    """A seeded charged multipartition, l <= 5 and e <= 6, with 40-80 rows in
+    each nonempty component and charges up to 10^3 apart, mostly off the
+    fundamental domain and often below zero.  A component is empty one time
+    in four; at seed 0 all of them are."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 6), rng.randint(1, 5)
+    mp = tuple(
+        ()
+        if not seed or rng.random() < 0.25
+        else tuple(sorted((rng.randint(1, 60) for _ in range(rng.randint(40, 80))), reverse=True))
+        for _ in range(l)
+    )
+    return mp, tuple(rng.randint(-1000, 1000) for _ in range(l)), e, l
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_maps_match_the_view_reference_on_wide_spans(seed):
+    # the common rows reach from the lowest bottom to the highest bead of all
+    # components, rounded to whole periods, far past each component's beads
+    ref = oracle.relabel_by_definition
+    mp, charges, e, l = _wide_case(seed)
+    mp_e, s_e = ref(mp, charges, e, l, "level", "rank")
+    assert level_rank_transpose(mp, charges, e) == (mp_e, s_e)
+    p, m = _one(ref(mp, charges, e, l, "level", "partition"))
+    assert tau_l_inverse(mp, charges, e) == (p, m)
+    assert tau_l(p, m, e, l) == ref((p,), (m,), e, l, "partition", "level")
+    assert tau_e(p, m, e) == ref((p,), (m,), e, 1, "partition", "rank")
+    assert tau_e_inverse(mp_e, s_e) == _one(ref(mp_e, s_e, e, 1, "rank", "partition"))
+    if l > 1:
+        # the components as an l-quotient
+        assert tau_e_inverse(mp, charges) == _one(ref(mp, charges, l, 1, "rank", "partition"))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_trips_on_wide_spans(seed):
+    mp, charges, e, l = _wide_case(seed)
+    p, m = tau_l_inverse(mp, charges, e)
+    assert tau_l(p, m, e, l) == (mp, charges)
+    assert tau_e_inverse(*tau_e(p, m, e)) == (p, m)
+    if l > 1:
+        assert tau_e(*tau_e_inverse(mp, charges), l) == (mp, charges)
 
 
 @given(partition, st.integers(-3, 3), st.integers(2, 4), st.integers(1, 3))

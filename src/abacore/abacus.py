@@ -1,7 +1,8 @@
 """Plain-text rendering of abaci."""
 
+import operator
+
 from .partitions import _as_int, _as_symbol
-from .quotients import _rows
 
 _DRAW = bytes.maketrans(b"\0\1", b".X")
 
@@ -27,10 +28,12 @@ def render_abacus(symbols, window):
         raise ValueError(f"expected a sequence of symbols, got {symbols!r}") from None
     width = hi + 1 - lo
     for p, m in reversed([*map(_as_symbol, symbols)]):
-        (row,), bottom = _rows((p,), (m,))
-        below = min(max(bottom - lo, 0), width)  # window positions under the row
-        beads = b"\1" * below + row[lo - bottom + below : hi + 1 - bottom]
-        lines.append(beads.translate(_DRAW).ljust(width, b".").decode())
+        # the symbol's bead row over the window: full below m - len(p), then one bead per part
+        row = bytearray(b"\1" * min(max(m - len(p) - lo, 0), width)).ljust(width, b"\0")
+        for x in map(operator.add, p, range(m - 1 - lo, m - 1 - lo - len(p), -1)):
+            if 0 <= x < width:
+                row[x] = 1
+        lines.append(row.translate(_DRAW).decode())
     return "\n".join(lines)
 
 

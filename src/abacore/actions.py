@@ -138,8 +138,8 @@ def _pair_rows(x, y):
 
 def _pair_components(mp, charges, c):
     """Replace components (c-1, c) by their pairing; their charges swap."""
-    rows, bottom = _rows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
-    pair, pair_charges = _symbols(_pair_rows(*rows), bottom)
+    rows, bottom, cuts = _rows(mp[c - 1 : c + 1], charges[c - 1 : c + 1])
+    pair, pair_charges = _symbols(_pair_rows(*rows), bottom, cuts)
     return mp[: c - 1] + pair + mp[c + 1 :], charges[: c - 1] + pair_charges + charges[c + 1 :]
 
 
@@ -214,11 +214,13 @@ def duality_transport(i, mp, charges, e):
     runner moves.  s_0 = T s_1 t pairs runner e-1 raised by l with runner 0;
     as pairing commutes with translation, pair runner e-1 with runner 0
     lowered by l and raise the second result by l, on rows padded by e.
-    Test oracle: transports_by_transpose in tests/oracle.py.
+    Pairing only compares beads, so it commutes with the rows' cuts, which
+    keep the shift by l exact.  Test oracle: transports_by_transpose in
+    tests/oracle.py.
     """
     mp, charges, e, i = _checked_residue(mp, charges, e, i)
     l = len(mp)
-    rows, bottom = _rows(mp, charges, e, 0 if i else e)
+    rows, bottom, cuts = _rows(mp, charges, e, 0 if i else e)
     levels, a, size = rows[::-1], (i - 1) % e, len(rows[0]) // e * l
     x, y = bytearray(size), bytearray(size)
     for d, row in enumerate(levels):
@@ -228,7 +230,7 @@ def duality_transport(i, mp, charges, e):
     y = b"\1" * lift + y[: len(y) - lift]
     for d, row in enumerate(levels):
         row[a::e], row[i::e] = x[d::l], y[d::l]
-    new_mp, new_charges = _symbols(rows, bottom)
+    new_mp, new_charges = _symbols(rows, bottom, cuts)
     if new_charges != charges:
         raise RuntimeError("duality transport changed the level charges")
     return new_mp

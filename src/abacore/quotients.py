@@ -16,10 +16,13 @@ level_rank_transpose is level -> rank, with no big partition rebuilt.
 
 Beads are kept as bead rows (_rows): one bytearray per component, one byte
 per position from a bottom shared by all components, below which all are
-full, up to the highest bead.  One kernel, _move, runs all five maps: each
-(c, d) class of beads is one strided slice copy between rows, by a residue
-table cached per (source, target, e, l).  Charges are read back as bottom +
-bead count and parts as the holes below each bead (_symbols), exactly.
+full, up to the highest bead.  Runs of whole period blocks empty in every
+component, as a large part leaves, are cut to their two end blocks (_cut),
+so rows cost O(beads) bytes, not O(largest part).  One kernel, _move, runs
+all five maps: each (c, d) class of beads is one strided slice copy between
+rows, by a residue table cached per (source, target, e, l).  Charges are
+read back as bottom + bead count and parts as the holes below each bead,
+cut ones included (_symbols), exactly.
 
 Block labels, the generalized core's runner charges and its weight are closed
 forms read off the partition rows (_runner_counts): each row moves one bead of
@@ -30,6 +33,7 @@ elementary move is simulated (the oracle generalized_core_by_moves does).
 """
 
 import operator
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, compress
 from typing import NamedTuple
@@ -71,13 +75,19 @@ def _residue_table(src, dst, e, l):
 
 
 def _rows(mp, charges, period=1, pad=0):
-    """Bead rows of validated symbols: byte x of a row is 1 when position
-    bottom + x holds a bead.  The rows share the bottom and the length, both
-    multiples of period, as pad must be; they are full for at least pad
-    positions above the bottom and empty for pad below their end."""
+    """Bead rows of validated symbols and their cuts: byte x of a row is 1
+    when position bottom + x holds a bead.  The rows share the bottom and the
+    length, both multiples of period, as pad must be; they are full for at
+    least pad positions above the bottom and empty for pad below their end.
+    Rows reaching more than two period blocks per part above the highest
+    charge are cut first (_cut), so no row costs more than O(beads) bytes."""
     bottom = min(map(operator.sub, charges, map(len, mp)))
     bottom -= bottom % period + pad
     top = max(s + (p[0] if p else 0) for p, s in zip(mp, charges))
+    cuts = ()
+    if top - max(charges) > period * (2 * sum(map(len, mp)) + 4):
+        mp, cuts = _cut(mp, charges, bottom, period)
+        top = max(s + (p[0] if p else 0) for p, s in zip(mp, charges))
     size = (top + pad - bottom + period - 1) // period * period
     rows = []
     for p, s in zip(mp, charges):
@@ -86,26 +96,56 @@ def _rows(mp, charges, period=1, pad=0):
         for x in map(operator.add, p, range(full + len(p) - 1, full - 1, -1)):
             row[x] = 1
         rows.append(row)
-    return rows, bottom
+    return rows, bottom, cuts
+
+
+def _cut(mp, charges, bottom, period):
+    """mp with every run of more than three period blocks empty in all
+    components, above the highest charge, cut to its two end blocks: the
+    parts above a cut shrink by its length.  Also the cuts, (x, n) when n
+    positions were cut just below row position x.  Keeping the end blocks
+    keeps a shift by one block exact (the transport, is_core)."""
+    floor = max(charges) // period
+    betas = [[s - 1 - a + x for a, x in enumerate(p)] for p, s in zip(mp, charges)]
+    blocks = sorted({floor, *(b // period for bs in betas for b in bs)})
+    starts, shifts, cuts = [], [0], []
+    for u, v in zip(blocks, blocks[1:]):
+        if u >= floor and v - u > 3:
+            starts.append(period * (u + 2))
+            cuts.append((starts[-1] - shifts[-1] - bottom, period * (v - u - 3)))
+            shifts.append(shifts[-1] + cuts[-1][1])
+    cut = (tuple(x - shifts[bisect_right(starts, b)] for x, b in zip(p, bs)) for p, bs in zip(mp, betas))
+    return tuple(cut), cuts
 
 
 def _move(mp, charges, e, l, src, dst):
     """(mp, charges) of validated src-view symbols placed in the dst view: a
     bead class goes from r + period*k to t + dst_period*k in one slice copy."""
     moves, period, dst_period = _residue_table(src, dst, e, l)
-    rows, bottom = _rows(mp, charges, period)
+    rows, bottom, cuts = _rows(mp, charges, period)
     out = [bytearray(dst_period * (len(rows[0]) // period)) for _ in range(e * l // dst_period)]
     for j, r, k, t in moves:
         out[k][t::dst_period] = rows[j][r::period]
-    return _symbols(out, dst_period * (bottom // period))
+    if cuts:
+        cuts = [(x // period * dst_period, n // period * dst_period) for x, n in cuts]
+    return _symbols(out, dst_period * (bottom // period), cuts)
 
 
-def _symbols(rows, bottom):
+def _symbols(rows, bottom, cuts=()):
     """(mp, charges) of bead rows over a common bottom: bottom + bead count,
-    and the holes below each bead past the full prefix, the top bead first."""
+    and the holes below each bead past the full prefix, the top bead first.
+    A cut's n holes count below every bead at or above its position."""
+    charges = tuple(bottom + row.count(1) for row in rows)
+    if cuts:  # read from the bottom: a cut may lie below the first hole
+        mp = []
+        for row in rows:
+            holes = [*row.translate(_HOLES)]
+            for x, n in cuts:
+                holes[x] += n
+            mp.append(tuple(filter(None, compress(accumulate(holes), row)))[::-1])
+        return tuple(mp), charges
     beads = (row[row.find(0) : row.rfind(1) + 1] if 0 in row else b"" for row in rows)
-    mp = tuple(tuple(compress(accumulate(b.translate(_HOLES)), b))[::-1] for b in beads)
-    return mp, tuple(bottom + row.count(1) for row in rows)
+    return tuple(tuple(compress(accumulate(b.translate(_HOLES)), b))[::-1] for b in beads), charges
 
 
 def tau_e(p, m, e):
@@ -262,7 +302,7 @@ def is_core(mp, charges, e):
     """Nested-symbol test: X_0 within X_1 within ... within X_0 shifted by e."""
     mp, charges, e = _checked(mp, charges, e)
     _require_domain(charges, e)
-    rows, _ = _rows(mp, charges)
+    rows = _rows(mp, charges, e)[0]
     # X_0 shifted by e holds every position below the bottom + e
     sets = [int.from_bytes(row, "little") for row in (*rows, b"\1" * e + rows[0])]
     return all(a | b == b for a, b in zip(sets, sets[1:]))

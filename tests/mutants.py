@@ -48,6 +48,8 @@ WIDE_MAPS = QUOTIENTS + "test_maps_match_the_view_reference_on_wide_spans"
 LONG_TRANSPORTS = (
     ACTIONS + "test_transport_matches_sigma_star_and_the_transpose_route_on_long_inputs"
 )
+CUT_MAPS = QUOTIENTS + "test_maps_match_the_view_reference_on_cut_rows"
+CUT_TRANSPORTS = ACTIONS + "test_transport_matches_sigma_star_and_the_transpose_route_on_cut_rows"
 
 MUTANTS = (
     # the Uglov set generator (blocks._flotw) and its component lists
@@ -236,6 +238,41 @@ MUTANTS = (
         (WIDE_MAPS, QUOTIENTS + "test_transpose_example", LONG_TRANSPORTS),
     ),
     (
+        "rows-never-cut",
+        "quotients.py",
+        "    if top - max(charges) > period * (2 * sum(map(len, mp)) + 4):\n",
+        "    if False:\n",
+        (QUOTIENTS + "test_one_large_part_costs_no_more_than_its_beads",),
+    ),
+    (
+        "cut-keeps-no-lower-block",
+        "quotients.py",
+        "starts.append(period * (u + 2))",
+        "starts.append(period * (u + 1))",
+        (CUT_TRANSPORTS,),
+    ),
+    (
+        "cut-keeps-no-upper-block",
+        "quotients.py",
+        "period * (v - u - 3)))",
+        "period * (v - u - 2)))",
+        (CUT_TRANSPORTS,),
+    ),
+    (
+        "cut-holes-dropped",
+        "quotients.py",
+        "holes[x] += n",
+        "holes[x] += 0",
+        (CUT_MAPS, CUT_TRANSPORTS, ACTIONS + "test_psi_pairs_components_across_cut_rows"),
+    ),
+    (
+        "cuts-kept-at-the-source-period",
+        "quotients.py",
+        "cuts = [(x // period * dst_period, n // period * dst_period) for x, n in cuts]",
+        "cuts = [(x, n) for x, n in cuts]",
+        (CUT_MAPS, QUOTIENTS + "test_round_trips_on_cut_rows"),
+    ),
+    (
         "transport-pad-of-l-at-i-zero",
         "actions.py",
         "_rows(mp, charges, e, 0 if i else e)",
@@ -376,8 +413,8 @@ MUTANTS = (
     (
         "render-window-bottom-at-the-partition",
         "abacus.py",
-        'beads = b"\\1" * below + row[',
-        "beads = row[",
+        "min(max(m - len(p) - lo, 0), width)",
+        "min(max(m - len(p), 0), width)",
         (PARTITIONS + "test_render_abacus_lines_are_the_beads_in_the_window",),
     ),
     # node and word helpers refuse bad input with ValueError

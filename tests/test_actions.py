@@ -18,6 +18,7 @@ from abacore import (
     uglov_set,
 )
 from abacore.partitions import multipartitions_of, partitions_of
+from abacore.quotients import _rows
 
 import oracle
 
@@ -225,13 +226,51 @@ def test_transport_matches_sigma_star_and_the_transpose_route_on_long_inputs(see
         assert got == want[i] == sigma_star(i, mp, charges, e)
 
 
+def _cut_transport_case(seed):
+    """A seeded multipartition at closed-domain charges, l <= 4 and e <= 5,
+    with 1-6 rows per component and parts up to 10^5 apart, so the level
+    rows are cut (quotients._rows) and runners i-1 and i pair across cuts."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 5), rng.randint(1, 4)
+    low = rng.randint(-50, 50)
+    charges = tuple(sorted(low + rng.randrange(e + 1) for _ in range(l)))
+    mp = tuple(
+        tuple(sorted((rng.choice((rng.randint(1, 5), rng.randint(1, 10**5))) for _ in range(k)), reverse=True))
+        for k in (rng.randint(0, 6) for _ in range(l))
+    )
+    return ((10**5 + rng.randint(1, 99), *mp[0]),) + mp[1:], charges, e
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transport_matches_sigma_star_and_the_transpose_route_on_cut_rows(seed):
+    mp, charges, e = _cut_transport_case(seed)
+    assert _rows(mp, charges, e)[2]
+    want = oracle.transports_by_transpose(mp, charges, e)
+    for i in range(e):
+        assert duality_transport(i, mp, charges, e) == want[i] == sigma_star(i, mp, charges, e)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_psi_pairs_components_across_cut_rows(seed):
+    # s_c pairs the beta-sets of components c-1 and c by the claiming rule
+    mp, charges, e = _cut_transport_case(seed)
+    mp, charges = mp + ((10**4, 3),), charges + (charges[0] + 1,)
+    for c in range(1, len(mp)):
+        floor = min(s - len(p) for p, s in zip(mp, charges)) - 1
+        X, Y = (sorted(oracle.beads_above(mp[j], charges[j], floor)) for j in (c - 1, c))
+        pair = [oracle.symbol_of_beads(b, floor) for b in oracle.pair_symbols_by_claiming(X, Y)]
+        want = list(zip(mp, charges))
+        want[c - 1 : c + 1] = pair
+        assert psi(mp, charges, "s%d" % c, e) == tuple(map(tuple, zip(*want)))
+
+
 def test_transport_checks_the_level_charges(monkeypatch):
     # the guard on the returned value must survive python -O; the return
     # path is the one read of the level rows, here with its bottom shifted
     real_symbols = abacore.actions._symbols
 
-    def drifting_symbols(rows, bottom):
-        return real_symbols(rows, bottom + 1)
+    def drifting_symbols(rows, bottom, cuts=()):
+        return real_symbols(rows, bottom + 1, cuts)
 
     monkeypatch.setattr(abacore.actions, "_symbols", drifting_symbols)
     with pytest.raises(RuntimeError):

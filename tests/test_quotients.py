@@ -3,6 +3,8 @@ oracle that strips rim hooks by hand."""
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from abacore import (
     CoreData,
     GeneralizedCore,
+    Symbol,
     boundary_nodes,
     core_data,
     count_nodes_by_residue,
+    duality_transport,
     e_core_partition,
     generalized_core,
     in_closed_domain,
@@ -20,13 +24,15 @@ from abacore import (
     is_core,
     is_core_nodewise,
     level_rank_transpose,
+    psi,
+    render_abacus,
     tau_e,
     tau_e_inverse,
     tau_l,
     tau_l_inverse,
 )
 from abacore.partitions import mp_size, multipartitions_of, partitions_of, size
-from abacore.quotients import _empty_label, _row_tally, _runner_counts
+from abacore.quotients import _empty_label, _row_tally, _rows, _runner_counts
 
 import oracle
 
@@ -108,6 +114,197 @@ def test_tau_e_round_trip(p, m, e):
     q, s = tau_e(p, m, e)
     assert tau_e_inverse(q, s) == (p, m)
     assert size(p) == size(e_core_partition(p, e)) + e * mp_size(q)
+
+
+@given(partition, st.integers(-3, 3), st.integers(2, 4), st.integers(1, 3))
+def test_tau_l_round_trip(p, m, e, l):
+    mp, charges = tau_l(p, m, e, l)
+    assert len(mp) == len(charges) == l
+    assert sum(charges) == m
+    assert tau_l_inverse(mp, charges, e) == (p, m)
+
+
+def test_tau_l_examples():
+    assert tau_l((6, 3, 2, 1, 1), 0, 3, 2) == (((3, 1), (2, 1)), (0, 0))
+    # level 1 splits nothing
+    assert tau_l((4, 2), 1, 3, 1) == (((4, 2),), (1,))
+
+
+def test_transpose_example():
+    assert level_rank_transpose(((3, 1), (2, 1)), (0, 0), 3) == (
+        ((), (2,), (1,)),
+        (0, -1, 1),
+    )
+
+
+@given(charged_mp())
+def test_transpose_agrees_with_composite_route(data):
+    mp, charges, e = data
+    p, m = tau_l_inverse(mp, charges, e)
+    assert level_rank_transpose(mp, charges, e) == tau_e(p, m, e)
+
+
+def _one(symbols):
+    """(p, m) of a partition-view (mp, charges) pair."""
+    (p,), (m,) = symbols
+    return p, m
+
+
+def test_maps_match_the_view_reference():
+    # the five maps share one kernel, so the independent route is the
+    # reference that places each beta-number by the (c, d, k) table
+    ref = oracle.relabel_by_definition
+    for n in range(9):
+        for p in partitions_of(n):
+            for m in range(-3, 4):
+                for e in (2, 3, 4):
+                    quotient, s_e = ref((p,), (m,), e, 1, "partition", "rank")
+                    assert tau_e(p, m, e) == (quotient, s_e)
+                    assert tau_e_inverse(quotient, s_e) == _one(
+                        ref(quotient, s_e, e, 1, "rank", "partition")
+                    )
+                    for l in (1, 2, 3):
+                        mp, charges = ref((p,), (m,), e, l, "partition", "level")
+                        assert tau_l(p, m, e, l) == (mp, charges)
+                        assert tau_l_inverse(mp, charges, e) == _one(
+                            ref(mp, charges, e, l, "level", "partition")
+                        )
+    for mp, charges, e in oracle.closed_domain_grid():
+        l = len(mp)
+        want = _one(ref(mp, charges, e, l, "level", "partition"))
+        assert tau_l_inverse(mp, charges, e) == want
+        mp_e, s_e = ref(mp, charges, e, l, "level", "rank")
+        assert level_rank_transpose(mp, charges, e) == (mp_e, s_e)
+        want = _one(ref(mp_e, s_e, e, 1, "rank", "partition"))
+        assert tau_e_inverse(mp_e, s_e) == want
+
+
+def _wide_case(seed):
+    """A seeded charged multipartition, l <= 5 and e <= 6, with 40-80 rows in
+    each nonempty component and charges up to 10^3 apart, mostly off the
+    fundamental domain and often below zero.  A component is empty one time
+    in four; at seed 0 all of them are."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 6), rng.randint(1, 5)
+    mp = tuple(
+        ()
+        if not seed or rng.random() < 0.25
+        else tuple(sorted((rng.randint(1, 60) for _ in range(rng.randint(40, 80))), reverse=True))
+        for _ in range(l)
+    )
+    return mp, tuple(rng.randint(-1000, 1000) for _ in range(l)), e, l
+
+
+def _sparse_case(seed):
+    """A seeded charged multipartition, l <= 4 and e <= 5, with 1-8 rows in
+    each nonempty component, about half of their parts between 10 and 10^5,
+    and one more part above 10^5 in one component: the common rows hold long
+    runs of empty blocks, which quotients._rows cuts.  Charges are within 50
+    of zero."""
+    rng = random.Random(seed)
+    e, l = rng.randint(2, 5), rng.randint(1, 4)
+    mp = [
+        tuple(
+            sorted(
+                (rng.randint(1, 9) if rng.random() < 0.5 else rng.randint(10, 10**5) for _ in range(k)),
+                reverse=True,
+            )
+        )
+        for k in (rng.randint(1, 8) if not j or rng.random() < 0.75 else 0 for j in range(l))
+    ]
+    j = rng.randrange(l)
+    mp[j] = (10**5 + rng.randint(1, 10**3), *mp[j])
+    return tuple(mp), tuple(rng.randint(-50, 50) for _ in range(l)), e, l
+
+
+def _check_maps(mp, charges, e, l):
+    """The five maps from and to (mp, charges) against the view reference."""
+    ref = oracle.relabel_by_definition
+    mp_e, s_e = ref(mp, charges, e, l, "level", "rank")
+    assert level_rank_transpose(mp, charges, e) == (mp_e, s_e)
+    p, m = _one(ref(mp, charges, e, l, "level", "partition"))
+    assert tau_l_inverse(mp, charges, e) == (p, m)
+    assert tau_l(p, m, e, l) == ref((p,), (m,), e, l, "partition", "level")
+    assert tau_e(p, m, e) == ref((p,), (m,), e, 1, "partition", "rank")
+    assert tau_e_inverse(mp_e, s_e) == _one(ref(mp_e, s_e, e, 1, "rank", "partition"))
+    if l > 1:
+        # the components as an l-quotient
+        assert tau_e_inverse(mp, charges) == _one(ref(mp, charges, l, 1, "rank", "partition"))
+
+
+def _check_round_trips(mp, charges, e, l):
+    p, m = tau_l_inverse(mp, charges, e)
+    assert tau_l(p, m, e, l) == (mp, charges)
+    assert tau_e_inverse(*tau_e(p, m, e)) == (p, m)
+    if l > 1:
+        assert tau_e(*tau_e_inverse(mp, charges), l) == (mp, charges)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_maps_match_the_view_reference_on_wide_spans(seed):
+    # the common rows reach from the lowest bottom to the highest bead of all
+    # components, rounded to whole periods, far past each component's beads
+    _check_maps(*_wide_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_trips_on_wide_spans(seed):
+    _check_round_trips(*_wide_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_maps_match_the_view_reference_on_cut_rows(seed):
+    mp, charges, e, l = _sparse_case(seed)
+    assert _rows(mp, charges, e)[2] and _rows(mp, charges, e * l)[2]  # the rows are cut
+    _check_maps(mp, charges, e, l)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_trips_on_cut_rows(seed):
+    _check_round_trips(*_sparse_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_is_core_matches_the_nodewise_test_on_cut_rows(seed):
+    # at closed-domain charges; the nested-set test shifts X_0 by one block
+    mp, _, e, l = _sparse_case(seed)
+    low = random.Random(seed).randint(-50, 50)
+    for charges in {tuple(sorted(low + (j * k) % (e + 1) for j in range(l))) for k in range(e + 1)}:
+        assert _rows(mp, charges, e)[2]
+        assert is_core(mp, charges, e) == is_core_nodewise(mp, charges, e)
+        core = generalized_core(mp, charges, e)
+        assert is_core(core.core_mp, core.core_charges, e)
+
+
+_LARGE_PART_CALLS = {
+    "tau_e": lambda n: tau_e((n, 1), 0, 2),
+    "tau_l": lambda n: tau_l((n, n, 2), -1, 3, 2),
+    "tau_e_inverse": lambda n: tau_e_inverse(((n,), (), (1,)), (0, 5, -5)),
+    "tau_l_inverse": lambda n: tau_l_inverse(((n, 3), (n,)), (0, 1), 2),
+    "level_rank_transpose": lambda n: level_rank_transpose(((n,), (2, 1)), (0, 1), 3),
+    "generalized_core": lambda n: generalized_core(((n,), (n, 1)), (0, 1), 2),
+    "is_core": lambda n: is_core(((n,), (1,)), (0, 2), 2),
+    "psi": lambda n: psi(((n,), (5, 1)), (0, 1), "s1 t s0", 2),
+    "duality_transport": lambda n: [duality_transport(i, ((n, 2), (1,)), (0, 1), 3) for i in range(3)],
+    "render_abacus": lambda n: render_abacus([Symbol((n, 1), 0)], (n - 5, n + 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_PART_CALLS))
+def test_one_large_part_costs_no_more_than_its_beads(name):
+    # a part of size n puts a bead n positions above the rest; rows over
+    # every position would take n bytes, and ten seconds at n = 10^9
+    call = _LARGE_PART_CALLS[name]
+    tracemalloc.start()
+    try:
+        call(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+    start = time.perf_counter()
+    call(10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(partition, st.integers(-3, 3), st.integers(2, 4), st.integers(1, 3))

@@ -79,13 +79,14 @@ def _rows(mp, charges, period=1, pad=0):
     when position bottom + x holds a bead.  The rows share the bottom and the
     length, both multiples of period, as pad must be; they are full for at
     least pad positions above the bottom and empty for pad below their end.
-    Rows reaching more than two period blocks per part above the highest
-    charge are cut first (_cut), so no row costs more than O(beads) bytes."""
+    Rows longer than 64 blocks that reach more than two period blocks per
+    part above the highest charge are cut first (_cut), so no row costs more
+    than O(beads) bytes."""
     bottom = min(map(operator.sub, charges, map(len, mp)))
     bottom -= bottom % period + pad
     top = max(s + (p[0] if p else 0) for p, s in zip(mp, charges))
     cuts = ()
-    if top - max(charges) > period * (2 * sum(map(len, mp)) + 4):
+    if top - bottom > 64 * period and top - max(charges) > period * (2 * sum(map(len, mp)) + 4):
         mp, cuts = _cut(mp, charges, bottom, period)
         top = max(s + (p[0] if p else 0) for p, s in zip(mp, charges))
     size = (top + pad - bottom + period - 1) // period * period
@@ -114,7 +115,8 @@ def _cut(mp, charges, bottom, period):
             starts.append(period * (u + 2))
             cuts.append((starts[-1] - shifts[-1] - bottom, period * (v - u - 3)))
             shifts.append(shifts[-1] + cuts[-1][1])
-    cut = (tuple(x - shifts[bisect_right(starts, b)] for x, b in zip(p, bs)) for p, bs in zip(mp, betas))
+    cut = (tuple(x - shifts[bisect_right(starts, b)] for x, b in zip(p, bs))
+           for p, bs in zip(mp, betas))
     return tuple(cut), cuts
 
 

@@ -240,8 +240,8 @@ MUTANTS = (
     (
         "rows-never-cut",
         "quotients.py",
-        "    if top - max(charges) > period * (2 * sum(map(len, mp)) + 4):\n",
-        "    if False:\n",
+        "if top - bottom > 64 * period and top - max(charges) > ",
+        "if False and top - max(charges) > ",
         (QUOTIENTS + "test_one_large_part_costs_no_more_than_its_beads",),
     ),
     (

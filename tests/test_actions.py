@@ -228,14 +228,20 @@ def test_transport_matches_sigma_star_and_the_transpose_route_on_long_inputs(see
 
 def _cut_transport_case(seed):
     """A seeded multipartition at closed-domain charges, l <= 4 and e <= 5,
-    with 1-6 rows per component and parts up to 10^5 apart, so the level
-    rows are cut (quotients._rows) and runners i-1 and i pair across cuts."""
+    with 0-6 rows per component, parts up to 10^5 apart and one more part
+    above 10^5 in the first component, so the level rows are cut
+    (quotients._rows) and runners i-1 and i pair across cuts."""
     rng = random.Random(seed)
     e, l = rng.randint(2, 5), rng.randint(1, 4)
     low = rng.randint(-50, 50)
     charges = tuple(sorted(low + rng.randrange(e + 1) for _ in range(l)))
     mp = tuple(
-        tuple(sorted((rng.choice((rng.randint(1, 5), rng.randint(1, 10**5))) for _ in range(k)), reverse=True))
+        tuple(
+            sorted(
+                (rng.choice((rng.randint(1, 5), rng.randint(1, 10**5))) for _ in range(k)),
+                reverse=True,
+            )
+        )
         for k in (rng.randint(0, 6) for _ in range(l))
     )
     return ((10**5 + rng.randint(1, 99), *mp[0]),) + mp[1:], charges, e

@@ -206,7 +206,10 @@ def _sparse_case(seed):
     mp = [
         tuple(
             sorted(
-                (rng.randint(1, 9) if rng.random() < 0.5 else rng.randint(10, 10**5) for _ in range(k)),
+                (
+                    rng.randint(1, 9) if rng.random() < 0.5 else rng.randint(10, 10**5)
+                    for _ in range(k)
+                ),
                 reverse=True,
             )
         )
@@ -285,7 +288,9 @@ _LARGE_PART_CALLS = {
     "generalized_core": lambda n: generalized_core(((n,), (n, 1)), (0, 1), 2),
     "is_core": lambda n: is_core(((n,), (1,)), (0, 2), 2),
     "psi": lambda n: psi(((n,), (5, 1)), (0, 1), "s1 t s0", 2),
-    "duality_transport": lambda n: [duality_transport(i, ((n, 2), (1,)), (0, 1), 3) for i in range(3)],
+    "duality_transport": lambda n: [
+        duality_transport(i, ((n, 2), (1,)), (0, 1), 3) for i in range(3)
+    ],
     "render_abacus": lambda n: render_abacus([Symbol((n, 1), 0)], (n - 5, n + 5)),
 }
 

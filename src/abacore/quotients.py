@@ -138,7 +138,7 @@ def _symbols(rows, bottom, cuts=()):
     and the holes below each bead past the full prefix, the top bead first.
     A cut's n holes count below every bead at or above its position."""
     charges = tuple(bottom + row.count(1) for row in rows)
-    if cuts:  # read from the bottom: a cut may lie below the first hole
+    if cuts:  # one hole count per position, each cut's n added at its x
         mp = []
         for row in rows:
             holes = [*row.translate(_HOLES)]

@@ -34,16 +34,11 @@ from .blocks import (
 from .nodes import (
     Node,
     Signature,
-    add_node,
-    addable_cells,
     boundary_nodes,
     content,
-    count_nodes_by_residue,
     e_tilde,
     f_tilde,
     i_signature,
-    remove_node,
-    removable_cells,
     residue,
 )
 from .partitions import (
@@ -52,7 +47,6 @@ from .partitions import (
     multipartitions_of,
     partition_of_symbol,
     partitions_of,
-    shift_symbol,
 )
 from .quotients import (
     CoreData,
@@ -82,8 +76,6 @@ __all__ = [
     "Symbol",
     "act_charge_e",
     "act_charge_l",
-    "add_node",
-    "addable_cells",
     "beta_set",
     "block_action",
     "block_id",
@@ -91,7 +83,6 @@ __all__ = [
     "boundary_nodes",
     "content",
     "core_data",
-    "count_nodes_by_residue",
     "duality_transport",
     "e_core_partition",
     "e_tilde",
@@ -115,11 +106,8 @@ __all__ = [
     "psi",
     "reachable_multicharges",
     "realize_multicharge",
-    "remove_node",
-    "removable_cells",
     "render_abacus",
     "residue",
-    "shift_symbol",
     "sigma_ordinary",
     "sigma_star",
     "tau_e",

@@ -2,7 +2,7 @@
 
 import operator
 
-from .partitions import _as_int, _as_symbol
+from .partitions import _as_count, _as_int, _as_symbol
 
 _DRAW = bytes.maketrans(b"\0\1", b".X")
 
@@ -21,12 +21,12 @@ def render_abacus(symbols, window):
     lo, hi = _as_int(lo), _as_int(hi)
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
+    width = _as_count(hi + 1 - lo)
     lines = [_header(lo, hi)]
     try:
         symbols = iter(symbols)
     except TypeError:
         raise ValueError(f"expected a sequence of symbols, got {symbols!r}") from None
-    width = hi + 1 - lo
     for p, m in reversed([*map(_as_symbol, symbols)]):
         # the symbol's bead row over the window: full below m - len(p), then one bead per part
         row = bytearray(b"\1" * min(max(m - len(p) - lo, 0), width)).ljust(width, b"\0")

@@ -15,7 +15,7 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .actions import act_charge_e, act_charge_l, psi
+from .actions import _letter_right, _psi, act_charge_e
 from .partitions import (
     _as_int,
     _as_ints,
@@ -25,6 +25,7 @@ from .partitions import (
     _checked,
     _regular_partitions,
     as_charges,
+    check_level,
     check_modulus,
     multipartitions_of,
     partition_list,
@@ -32,11 +33,11 @@ from .partitions import (
 from .quotients import (
     _core_partition,
     _empty_label,
+    _in_domain,
     _require_domain,
     _row_tally,
     _runner_counts,
     generalized_core,
-    in_closed_domain,
 )
 
 
@@ -117,12 +118,12 @@ def uglov_set(charges, e, n):
         gap = s[b] - s[a]
         narrow[b] = narrow[a] + min(gap, 2 * n + 1 + (gap - 2 * n - 1) % e)
     s, back = tuple(narrow), ()
-    while not in_closed_domain(s, e):
+    while not _in_domain(s, e):
         c = next((c for c in range(1, len(s)) if s[c - 1] > s[c]), 0)
-        s = act_charge_l(s, ("s%d" % c if c else "t",), e)
+        s = _letter_right(s, "s%d" % c if c else "t", e)
         back = ("s%d" % c if c else "T",) + back
     members = _flotw(s, e, n)
-    return frozenset(psi(mp, s, back, e)[0] for mp in members) if back else frozenset(members)
+    return frozenset(_psi(mp, s, back, e)[0] for mp in members) if back else frozenset(members)
 
 
 def _flotw(s, e, n):
@@ -209,7 +210,7 @@ def _check_block(b, l):
     w = _as_int(b.weight, 0, "the block weight must be nonnegative")
     if b.m != sum(s):
         raise ValueError("the block charge m must be the sum of its core charges")
-    if b.l != _as_int(l, 1, "the level l must be at least 1"):
+    if b.l != check_level(l):
         raise ValueError("context mismatch")
     return s, w, e
 
@@ -230,7 +231,7 @@ def level_multicharge(s_e, e, l):
     them.
     """
     s_e = as_charges(s_e, check_modulus(e))
-    return _level_multicharge(s_e, _as_int(l, 1, "the level l must be at least 1"))
+    return _level_multicharge(s_e, check_level(l))
 
 
 def _level_multicharge(s_e, l):
@@ -268,7 +269,7 @@ def realize_multicharge(start, target, e):
     target = _as_ints(target)
     e = check_modulus(e)
     _require_domain(start, e)
-    if len(target) != len(start) or sum(target) != sum(start) or not in_closed_domain(target, e):
+    if len(target) != len(start) or sum(target) != sum(start) or not _in_domain(target, e):
         raise ValueError("unreachable multicharge")
     empties = [_empty_label((s,), e, 1)[0] for s in start]
     need = tuple(map(operator.sub, _empty_label(target, e, len(start))[0], map(sum, zip(*empties))))

@@ -121,6 +121,12 @@ def parse_window(text):
     raise UsageError(f"window must look like lo:hi, got {text!r}")
 
 
+def _dash_value(tok):
+    """Whether tok, starting with "-", is a flag value: "-" alone, "-<digit>",
+    or an empty first entry, "-," or "-|"."""
+    return len(tok) == 1 or tok[1].isdigit() or tok[1] in ",|"
+
+
 def _merge_negative_values(argv):
     """Join "--flag" "-3,1" into "--flag=-3,1" so argparse accepts it; a
     following "--..." token is a flag, not a value, and is left alone."""
@@ -131,13 +137,7 @@ def _merge_negative_values(argv):
             skip = False
             continue
         nxt = argv[pos + 1] if pos + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and nxt.startswith("-")
-            and (len(nxt) == 1 or nxt[1].isdigit() or nxt[1] in ",|")
-        ):
+        if tok.startswith("--") and "=" not in tok and nxt and nxt[0] == "-" and _dash_value(nxt):
             out.append(f"{tok}={nxt}")
             skip = True
         else:
@@ -376,7 +376,7 @@ def _plain_parse(argv):
         if dest is None or pos + 1 == end:
             return None
         value = argv[pos + 1]
-        if value[:1] == "-" and not (len(value) == 1 or value[1].isdigit() or value[1] in ",|"):
+        if value[:1] == "-" and not _dash_value(value):
             return None
         if kind is not None:
             try:

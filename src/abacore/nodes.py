@@ -16,14 +16,7 @@ where a public function returns them.
 
 from typing import NamedTuple
 
-from .partitions import (
-    _as_ints,
-    _check_residue,
-    _checked,
-    as_multipartition,
-    as_partition,
-    check_modulus,
-)
+from .partitions import _as_ints, _check_residue, _checked, check_modulus
 
 
 class Node(NamedTuple):
@@ -48,18 +41,6 @@ def content(node, charges):
 
 def residue(node, charges, e):
     return content(node, charges) % check_modulus(e)
-
-
-def addable_cells(p, comp=0):
-    """Cells whose addition to p leaves a partition, top row first."""
-    p = (*as_partition(p), 0)
-    return [Node(a, k + 1, comp) for a, k in enumerate(p, 1) if a == 1 or p[a - 2] > k]
-
-
-def removable_cells(p, comp=0):
-    """Cells whose removal from p leaves a partition, top row first."""
-    p = (*as_partition(p), 0)
-    return [Node(a, k, comp) for a, k in enumerate(p[:-1], 1) if k > p[a]]
 
 
 def boundary_nodes(mp, charges, e, i):
@@ -107,17 +88,6 @@ def _reduce(letters):
     return stack
 
 
-def count_nodes_by_residue(mp, charges, e):
-    """How many diagram cells carry each residue 0..e-1."""
-    mp, charges, e = _checked(mp, charges, e)
-    counts = [0] * e
-    for c, p in enumerate(mp):
-        for a, row_len in enumerate(p, start=1):
-            for b in range(1, row_len + 1):
-                counts[(b - a + charges[c]) % e] += 1
-    return tuple(counts)
-
-
 class Signature(NamedTuple):
     """The A/R word of addable/removable i-nodes in node order.
 
@@ -163,15 +133,6 @@ def _signature(mp, charges, e, i):
     return Signature(tuple(pairs.values()), tuple(map(pairs.get, _reduce(letters))))
 
 
-def _cell(mp, node, cells, letter):
-    """A multipartition and a node among the `cells` of its component,
-    validated; the node as a one-letter list for _grow, which reads no content."""
-    mp, node = as_multipartition(mp), _as_node(node)
-    if node.comp not in range(len(mp)) or node not in cells(mp[node.comp], node.comp):
-        raise ValueError(f"{node!r} is not among the {cells.__name__} of {mp!r}")
-    return mp, [(None, -node.comp, letter, node.row, node.col)]
-
-
 def _grow(mp, letters):
     """mp with every letter's row edited in one pass: an "A" lengthens it by
     one node, an "R" shortens it by one.  Each touched component is copied
@@ -186,14 +147,6 @@ def _grow(mp, letters):
     for c, rows in edited.items():
         mp[c] = tuple(rows[: len(rows) - rows.count(0)])
     return tuple(mp)
-
-
-def add_node(mp, node):
-    return _grow(*_cell(mp, node, addable_cells, "A"))
-
-
-def remove_node(mp, node):
-    return _grow(*_cell(mp, node, removable_cells, "R"))
 
 
 def e_tilde(i, mp, charges, e):

@@ -18,6 +18,7 @@ position is W and it holds r beads, the charge is W + r.
 """
 
 import operator
+import sys
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -32,6 +33,16 @@ def _as_int(x, least=None, message=None):
         x = operator.index(x)
     if least is not None and x < least:
         raise ValueError(message)
+    return x
+
+
+def _as_count(x, least=None, message=None):
+    """_as_int(x, least, message) at most sys.maxsize, so that x can size a
+    list or a range: past it, [0] * x leaks OverflowError and a loop over
+    range(x) never ends."""
+    x = _as_int(x, least, message)
+    if x > sys.maxsize:
+        raise ValueError(f"expected at most sys.maxsize, got {x}")
     return x
 
 
@@ -83,7 +94,11 @@ def as_charges(charges, l):
 
 
 def check_modulus(e):
-    return _as_int(e, 2, "the modulus e must be at least 2")
+    return _as_count(e, 2, "the modulus e must be at least 2")
+
+
+def check_level(l):
+    return _as_count(l, 1, "the level l must be at least 1")
 
 
 def _checked(mp, charges, e):
@@ -116,7 +131,7 @@ def beta_set(p, m, rows):
     window.
     """
     p = as_partition(p)
-    m, rows = _as_int(m), _as_int(rows)
+    m, rows = _as_int(m), _as_count(rows)
     if rows < len(p):
         raise ValueError("window too small")
     return _beta_window(p, m, rows)
@@ -140,13 +155,10 @@ def partition_of_symbol(betas, m):
 
 
 class Symbol(NamedTuple):
-    """A partition together with its charge; beta-numbers are a derived view."""
+    """A partition together with its charge; beta_set gives its beta-numbers."""
 
     partition: tuple
     charge: int
-
-    def window(self, rows):
-        return beta_set(self.partition, self.charge, rows)
 
 
 def _as_symbol(s):
@@ -156,12 +168,6 @@ def _as_symbol(s):
     except (TypeError, ValueError):
         raise ValueError(f"a symbol is a (partition, charge) pair, got {s!r}") from None
     return Symbol(as_partition(p), _as_int(m))
-
-
-def shift_symbol(s, r):
-    """The shifted symbol X[r]: same partition, charge moved by r."""
-    p, m = _as_symbol(s)
-    return Symbol(p, m + _as_int(r))
 
 
 def partitions_of(n, max_part=None):
@@ -206,8 +212,8 @@ def _regular_partitions(n, e):
 
 def compositions_of(n, k):
     """Weak compositions of n into k parts, in lexicographic order."""
-    n = _as_int(n, 0, "the size n must be nonnegative")
-    k = _as_int(k, 1, "the number of parts k must be at least 1")
+    n = _as_count(n, 0, "the size n must be nonnegative")
+    k = _as_count(k, 1, "the number of parts k must be at least 1")
     for bars in combinations(range(n + k - 1), k - 1):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k - 1)))
 

@@ -45,6 +45,7 @@ from .partitions import (
     as_charges,
     as_multipartition,
     as_partition,
+    check_level,
     check_modulus,
     mp_size,
 )
@@ -184,7 +185,7 @@ def core_data(p, m, e):
 def tau_l(p, m, e, l):
     """The level-l splitting of (p, m) into an l-multipartition with charges."""
     p, m, e = as_partition(p), _as_int(m), check_modulus(e)
-    l = _as_int(l, 1, "the level l must be at least 1")
+    l = check_level(l)
     return _move((p,), (m,), e, l, "partition", "level")
 
 
@@ -259,21 +260,24 @@ def _runner_counts(mp, charges, e, l):
     return counts, total - (sum(map(operator.mul, counts, counts)) - sum(charges)) // 2
 
 
+def _in_domain(charges, e):
+    """Whether validated charges are weakly increasing with spread at most e."""
+    return not any(map(operator.gt, charges, charges[1:])) and charges[-1] - charges[0] <= e
+
+
 def in_closed_domain(charges, e):
     """Weakly increasing charges whose spread is at most e."""
-    charges, e = _charge_tuple(charges), check_modulus(e)
-    return not any(map(operator.gt, charges, charges[1:])) and charges[-1] - charges[0] <= e
+    return _in_domain(_charge_tuple(charges), check_modulus(e))
 
 
 def in_strict_domain(charges, e):
     """Weakly increasing charges whose spread is strictly less than e."""
-    charges, e = _charge_tuple(charges), check_modulus(e)
-    return not any(map(operator.gt, charges, charges[1:])) and charges[-1] - charges[0] < e
+    return _in_domain(_charge_tuple(charges), check_modulus(e) - 1)
 
 
 def _require_domain(charges, e):
     """in_closed_domain on a charge tuple its caller has already validated."""
-    if any(map(operator.gt, charges, charges[1:])) or charges[-1] - charges[0] > e:
+    if not _in_domain(charges, e):
         raise ValueError("charges not in fundamental domain")
 
 

@@ -38,6 +38,7 @@ LONG = NODES + "test_long_signatures_match_the_cell_route"
 STAR_MOVES = ACTIONS + "test_sigma_star_matches_the_move_oracle_exhaustively"
 TOGGLES = ACTIONS + "test_sigma_toggles_the_boundary"
 NON_ITERABLE = PARTITIONS + "test_non_iterable_arguments_are_value_errors"
+MAXSIZE = PARTITIONS + "test_counts_past_sys_maxsize_are_value_errors"
 ROW_ORDER = CLI + "test_text_values_are_parsed_after_argparse_in_row_order"
 REFUSED = NODES + "test_node_and_word_helpers_refuse_bad_input_with_value_errors"
 TIES = BLOCKS + "test_realize_breaks_ties_by_component_sizes_then_changes"
@@ -425,13 +426,31 @@ MUTANTS = (
         "",
         (REFUSED + "[parse_word-1-2.5]", REFUSED + "[parse_word-1-'2']"),
     ),
+    # one dash-value predicate for the plain reader and the argparse route
     (
-        "node-off-the-rim-accepted",
-        "nodes.py",
-        "    if node.comp not in range(len(mp)) or node not in cells(mp[node.comp], node.comp):\n",
-        "    if node.comp not in range(len(mp)):\n",
-        (REFUSED + "[add_node-1-Node(row=1,col=2,comp=0)]",
-         REFUSED + "[remove_node-1-Node(row=1,col=1,comp=0)]"),
+        "dash-value-without-empty-first-entries",
+        "cli.py",
+        'tok[1].isdigit() or tok[1] in ",|"',
+        "tok[1].isdigit()",
+        (CLI + "test_uglov_and_from_quotient",),
+    ),
+    # one domain test behind the predicates and the operations
+    (
+        "domain-spread-strict",
+        "quotients.py",
+        "charges[-1] - charges[0] <= e",
+        "charges[-1] - charges[0] < e",
+        (QUOTIENTS + "test_domain_predicates",
+         BLOCKS + "test_block_id_matches_the_long_route_exhaustively"),
+    ),
+    # counts past sys.maxsize are ValueErrors, not OverflowErrors
+    (
+        "maxsize-check-dropped",
+        "partitions.py",
+        "    if x > sys.maxsize:\n",
+        "    if False:\n",
+        (MAXSIZE + "[beta_set-2]", MAXSIZE + "[block_id-2]",
+         MAXSIZE + "[multipartitions_of-1]", CLI + "test_a_count_past_sys_maxsize_exits_2"),
     ),
     # non-iterable arguments are ValueErrors at the public boundary
     (

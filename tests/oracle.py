@@ -11,7 +11,8 @@ block_label_by_relabel reads block labels off the transpose, and
 transports_by_transpose runs duality_transport through the partitions of
 the transposed e-symbol, both placed by relabel_by_definition: the routes
 the library replaced by row tallies and by two runners of bead rows.
-fayers_weight is the abacus-free residue-count weight.
+fayers_weight is the abacus-free residue-count weight, from the cell counts
+of count_nodes_by_residue.
 relabel_by_definition places the beads of a symbol in another view straight
 from the (c, d, k) table, without the library's rows or kernel.
 uglov_set_by_crystal builds the Uglov layers with the crystal operators,
@@ -39,7 +40,6 @@ from abacore import (
     GeneralizedCore,
     act_charge_e,
     block_id,
-    count_nodes_by_residue,
     e_tilde,
     level_multicharge,
     tau_e_inverse,
@@ -473,6 +473,16 @@ def transports_by_transpose(mp, charges, e):
     mp_e, s_e = relabel_by_definition(mp, charges, e, l, "level", "rank")
     images = (_psi(mp_e, s_e, ("s%d" % i,), -l) for i in range(e))
     return [relabel_by_definition(*image, e, l, "rank", "level")[0] for image in images]
+
+
+def count_nodes_by_residue(mp, charges, e):
+    """How many diagram cells carry each residue 0..e-1."""
+    counts = [0] * e
+    for p, s in zip(mp, charges):
+        for a, row_len in enumerate(p, start=1):
+            for b in range(1, row_len + 1):
+                counts[(b - a + s) % e] += 1
+    return tuple(counts)
 
 
 def fayers_weight(mp, charges, e):

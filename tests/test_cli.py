@@ -253,6 +253,23 @@ def test_negative_sizes_exit_2(argv):
     assert "nonnegative" in r.stdout and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("block", "--mp", "1|1", "--charges", "0,1", "--e", str(10**20)),
+        ("gencore", "--mp", "1|1", "--charges", "0,1", "--e", str(10**20)),
+        ("realize", "--start", "0,1", "--target", "0,1", "--e", str(10**20)),
+        ("render", "--mp", "1", "--charges", "0", "--window", "1:%d" % 10**20),
+    ],
+    ids=["block", "gencore", "realize", "render"],
+)
+def test_a_count_past_sys_maxsize_exits_2(argv):
+    # a domain error on one line, not an OverflowError traceback
+    r = run(*argv)
+    assert r.returncode == 2 and r.stderr == ""
+    assert r.stdout == "expected at most sys.maxsize, got 100000000000000000000\n"
+
+
 @pytest.mark.parametrize("l", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",

@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 from abacore import (
     BlockId,
     Node,
-    add_node,
-    addable_cells,
     boundary_nodes,
     content,
-    count_nodes_by_residue,
     duality_transport,
     e_tilde,
     f_tilde,
@@ -19,8 +16,6 @@ from abacore import (
     is_scopes,
     is_scopes_exhaustive,
     parse_word,
-    remove_node,
-    removable_cells,
     residue,
     sigma_ordinary,
     sigma_star,
@@ -49,18 +44,6 @@ def test_content_and_residue():
     assert residue(n, (0, -1), 3) == 2 % 3
     # residues are normalized even for very negative contents
     assert residue(Node(9, 1, 0), (0,), 4) == (1 - 9) % 4
-
-
-def test_cells_against_brute_force():
-    for n in range(10):
-        for p in partitions_of(n):
-            assert [(c.row, c.col) for c in addable_cells(p)] == oracle.brute_addable(p)
-            assert [(c.row, c.col) for c in removable_cells(p)] == oracle.brute_removable(p)
-
-
-def test_cells_tag_their_component():
-    assert addable_cells((2,), 5) == [Node(1, 3, 5), Node(2, 1, 5)]
-    assert removable_cells((2,), 5) == [Node(1, 2, 5)]
 
 
 def test_boundary_nodes_filter_and_order():
@@ -188,19 +171,10 @@ def test_long_signatures_match_the_cell_route(seed):
         assert e_tilde(i, mp, charges, e) == (oracle.move_node(mp, *add, 1) if add else None)
 
 
-def test_add_remove_node_edges():
-    mp = ((1,), ())
-    grown = add_node(mp, Node(1, 1, 1))
-    assert grown == ((1,), (1,))
-    assert remove_node(grown, Node(1, 1, 1)) == mp
-    taller = add_node(mp, Node(2, 1, 0))
-    assert taller == ((1, 1), ())
-
-
 @given(charged_mp())
 def test_residue_counts(data):
     mp, charges, e = data
-    counts = count_nodes_by_residue(mp, charges, e)
+    counts = oracle.count_nodes_by_residue(mp, charges, e)
     assert len(counts) == e
     assert sum(counts) == sum(sum(p) for p in mp)
     brute = [0] * e
@@ -212,8 +186,6 @@ def test_residue_counts(data):
 
 _BAD_NODES = [None, (1, 3, 0), Node(1.5, 3, 0), Node(1, 3, 2), Node(1, 3, -1)]
 _BAD_CHARGES = [None, 2, "x", (0.5, 1)]
-_BAD_PARTITIONS = [None, 3, (1, 2), (2.5,), (-1,)]
-_BAD_MPS = [None, 3, (), ((1, 2),)]
 # name -> (function, arguments it accepts, {argument position: values it must refuse})
 _BOUNDARY = {
     "parse_word": (parse_word, ("s1 t", 2), {0: [None, 5, ["s1", 2]],
@@ -221,13 +193,6 @@ _BOUNDARY = {
     "content": (content, (Node(1, 3, 0), (0, 1)), {0: _BAD_NODES, 1: _BAD_CHARGES}),
     "residue": (residue, (Node(1, 3, 0), (0, 1), 3),
                 {0: _BAD_NODES, 1: _BAD_CHARGES, 2: [None, "3", 2.5, 1, True]}),
-    "addable_cells": (addable_cells, ((2, 1),), {0: _BAD_PARTITIONS}),
-    "removable_cells": (removable_cells, ((2, 1),), {0: _BAD_PARTITIONS}),
-    # a node off the diagram's rim, or of no component, is refused too
-    "add_node": (add_node, (((2, 1), ()), Node(1, 1, 1)),
-                 {0: _BAD_MPS, 1: [*_BAD_NODES, Node(1, 2, 0), Node(5, 1, 0), Node(1, 1, -1)]}),
-    "remove_node": (remove_node, (((2, 1), ()), Node(2, 1, 0)),
-                    {0: _BAD_MPS, 1: [*_BAD_NODES, Node(1, 1, 0), Node(3, 1, 0), Node(1, 1, 1)]}),
 }
 
 

@@ -1,8 +1,10 @@
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
 import abacore as ab
-from abacore import Symbol, beta_set, partition_of_symbol, partitions_of, render_abacus, shift_symbol
+from abacore import BlockId, Symbol, beta_set, partition_of_symbol, partitions_of, render_abacus
 from abacore.partitions import (
     _regular_partitions,
     as_partition,
@@ -13,6 +15,7 @@ from abacore.partitions import (
 )
 
 import oracle
+from test_nodes import _BOUNDARY
 
 partitions = st.integers(0, 10).flatmap(
     lambda n: st.sampled_from([p for p in partitions_of(n)])
@@ -116,12 +119,9 @@ def test_beta_round_trip(p, m, extra):
 
 
 @given(partitions, st.integers(-3, 3), st.integers(-3, 3))
-def test_shift_symbol_moves_the_window(p, m, r):
-    s = Symbol(p, m)
-    t = shift_symbol(s, r)
-    assert t.partition == p and t.charge == m + r
+def test_shifting_the_charge_shifts_the_window(p, m, r):
     rows = len(p) + 1
-    assert t.window(rows) == tuple(b + r for b in s.window(rows))
+    assert beta_set(p, m + r, rows) == tuple(b + r for b in beta_set(p, m, rows))
 
 
 def _runner_line(sym, lo, hi):
@@ -151,41 +151,110 @@ def test_render_abacus_lines_are_the_beads_in_the_window():
         lambda: render_abacus([Symbol((1,), 0)], (1,)),  # was IndexError
         lambda: render_abacus([Symbol((1,), 0)], (1, 3, 5)),  # the 5 was ignored
         lambda: render_abacus([((1,),)], (0, 3)),  # a symbol without its charge
-        lambda: shift_symbol(((1,),), 1),
     ],
-    ids=["short-window", "long-window", "render-bare-partition", "shift-bare-partition"],
+    ids=["short-window", "long-window", "render-bare-partition"],
 )
 def test_malformed_windows_and_symbols_are_value_errors(call):
     with pytest.raises(ValueError):
         call()
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: ab.tau_e(None, 0, 3),
-        lambda: ab.tau_e(5, 0, 3),
-        lambda: ab.block_id(None, (0,), 3),
-        lambda: ab.block_id(((1,), None), (0, 0), 3),
-        lambda: ab.act_charge_e("t", None, 2),
-        lambda: ab.blocks_of(2, None, 3),
-        lambda: ab.partition_of_symbol(None, 0),
-        lambda: ab.render_abacus(None, (0, 3)),
-        lambda: ab.uglov_set(None, 2, 3),
-        lambda: ab.level_multicharge(None, 2, 2),
-        lambda: ab.reachable_multicharges(None, 2, 1),
-    ],
-    ids=[
-        "tau_e-none", "tau_e-int", "block_id-none", "block_id-none-component",
-        "act_charge_e-none", "blocks_of-none", "partition_of_symbol-none",
-        "render_abacus-none", "uglov_set-none", "level_multicharge-none",
-        "reachable_multicharges-none",
-    ],
-)
+_LABEL = BlockId((0, 0), 1, 2, 1, 0)
+# id -> a call with None where a sequence, a label or an int belongs; an id
+# starts with the name of the function it calls
+_NON_ITERABLE = {
+    "tau_e-none": lambda: ab.tau_e(None, 0, 3),
+    "tau_e-int": lambda: ab.tau_e(5, 0, 3),
+    "block_id-none": lambda: ab.block_id(None, (0,), 3),
+    "block_id-none-component": lambda: ab.block_id(((1,), None), (0, 0), 3),
+    "act_charge_e-none": lambda: ab.act_charge_e("t", None, 2),
+    "blocks_of-none": lambda: ab.blocks_of(2, None, 3),
+    "partition_of_symbol-none": lambda: ab.partition_of_symbol(None, 0),
+    "render_abacus-none": lambda: ab.render_abacus(None, (0, 3)),
+    "uglov_set-none": lambda: ab.uglov_set(None, 2, 3),
+    "level_multicharge-none": lambda: ab.level_multicharge(None, 2, 2),
+    "reachable_multicharges-none": lambda: ab.reachable_multicharges(None, 2, 1),
+    "act_charge_l-none": lambda: ab.act_charge_l(None, "t", 2),
+    "beta_set-none": lambda: ab.beta_set(None, 0, 2),
+    "block_action-none": lambda: ab.block_action("t", None, 1),
+    "boundary_nodes-none": lambda: ab.boundary_nodes(None, (0,), 3, 0),
+    "core_data-none": lambda: ab.core_data(None, 0, 3),
+    "duality_transport-none": lambda: ab.duality_transport(0, None, (0,), 3),
+    "e_core_partition-none": lambda: ab.e_core_partition(None, 3),
+    "e_tilde-none": lambda: ab.e_tilde(0, None, (0,), 3),
+    "f_tilde-none": lambda: ab.f_tilde(0, None, (0,), 3),
+    "generalized_core-none": lambda: ab.generalized_core(None, (0,), 3),
+    "i_signature-none": lambda: ab.i_signature(None, (0,), 3, 0),
+    "in_closed_domain-none": lambda: ab.in_closed_domain(None, 3),
+    "in_strict_domain-none": lambda: ab.in_strict_domain(None, 3),
+    "is_core-none": lambda: ab.is_core(None, (0,), 3),
+    "is_core_nodewise-none": lambda: ab.is_core_nodewise(None, (0,), 3),
+    "is_scopes-none": lambda: ab.is_scopes(None, 0, 1),
+    "is_scopes_exhaustive-none": lambda: ab.is_scopes_exhaustive(None, 0, 1),
+    "level_rank_transpose-none": lambda: ab.level_rank_transpose(None, (0,), 3),
+    "multipartitions_of-none": lambda: next(ab.multipartitions_of(None, 2)),
+    "orbit_equivalent-none": lambda: ab.orbit_equivalent(None, _LABEL, 1),
+    "pair_symbols-none": lambda: ab.pair_symbols(None, (1,)),
+    "partitions_of-none": lambda: ab.partitions_of(None),
+    "psi-none": lambda: ab.psi(None, (0,), "t", 3),
+    "realize_multicharge-none": lambda: ab.realize_multicharge(None, (0,), 3),
+    "sigma_ordinary-none": lambda: ab.sigma_ordinary(0, None, (0,), 3),
+    "sigma_star-none": lambda: ab.sigma_star(0, None, (0,), 3),
+    "tau_e_inverse-none": lambda: ab.tau_e_inverse(None, (0, 0)),
+    "tau_l-none": lambda: ab.tau_l(None, 0, 3, 2),
+    "tau_l_inverse-none": lambda: ab.tau_l_inverse(None, (0,), 3),
+}
+
+
+@pytest.mark.parametrize("call", _NON_ITERABLE.values(), ids=_NON_ITERABLE)
 def test_non_iterable_arguments_are_value_errors(call):
-    # each of these raised TypeError: 'NoneType' object is not iterable
     with pytest.raises(ValueError):
         call()
+
+
+def test_every_public_function_has_a_bad_input_row():
+    # the exported classes are plain NamedTuples, which check nothing
+    functions = {name for name in ab.__all__ if inspect.isfunction(getattr(ab, name))}
+    rows = {case.split("-")[0] for case in _NON_ITERABLE} | set(_BOUNDARY)
+    assert functions - rows == set()
+
+
+# name -> (function, arguments it accepts, positions of its counts): a count
+# past sys.maxsize cannot size a list or a range
+_COUNTS = {
+    "beta_set": (ab.beta_set, ((2, 1), 0, 3), (2,)),
+    "block_id": (ab.block_id, (((1,), (1,)), (0, 1), 3), (2,)),
+    "blocks_of": (ab.blocks_of, (2, (0, 1), 3), (2,)),
+    "generalized_core": (ab.generalized_core, (((1,), (1,)), (0, 1), 3), (2,)),
+    "is_core": (ab.is_core, (((1,), (1,)), (0, 1), 3), (2,)),
+    "is_core_nodewise": (ab.is_core_nodewise, (((1,), (1,)), (0, 1), 3), (2,)),
+    "duality_transport": (ab.duality_transport, (0, ((1,), (1,)), (0, 1), 3), (3,)),
+    "realize_multicharge": (ab.realize_multicharge, ((0, 1), (0, 1), 3), (2,)),
+    "reachable_multicharges": (ab.reachable_multicharges, ((0, 1), 3, 2), (1,)),
+    "multipartitions_of": (ab.multipartitions_of, (2, 2), (0, 1)),
+    "core_data": (ab.core_data, ((2, 1), 0, 3), (2,)),
+    "tau_e": (ab.tau_e, ((2, 1), 0, 3), (2,)),
+    "tau_l": (ab.tau_l, ((2, 1), 0, 3, 2), (2, 3)),
+    "tau_l_inverse": (ab.tau_l_inverse, (((1,), (1,)), (0, 1), 3), (2,)),
+    "level_rank_transpose": (ab.level_rank_transpose, (((1,), (1,)), (0, 1), 3), (2,)),
+    "level_multicharge": (ab.level_multicharge, ((0, 1, 2), 3, 2), (1, 2)),
+    "uglov_set": (ab.uglov_set, ((0, 1), 3, 2), (1,)),
+    "render_abacus": (lambda hi: render_abacus([Symbol((1,), 0)], (0, hi)), (3,), (0,)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, pos",
+    [pytest.param(name, pos, id=f"{name}-{pos}")
+     for name, (_, _, positions) in _COUNTS.items() for pos in positions],
+)
+def test_counts_past_sys_maxsize_are_value_errors(name, pos):
+    func, args, _ = _COUNTS[name]
+    func(*args)
+    with pytest.raises(ValueError, match="sys.maxsize"):
+        out = func(*args[:pos], 10**20, *args[pos + 1:])
+        if inspect.isgenerator(out):
+            next(out)
 
 
 def test_regular_partition_lists_are_the_e_regular_partitions_fewest_rows_first():

@@ -15,7 +15,6 @@ from abacore import (
     Symbol,
     boundary_nodes,
     core_data,
-    count_nodes_by_residue,
     duality_transport,
     e_core_partition,
     generalized_core,
@@ -425,7 +424,7 @@ def test_size_identity(p, m, e, l):
     # size of the splitting, and e per residue-0 node of the splitting
     mp, charges = tau_l(p, m, e, l)
     kappa = tau_l_inverse(((),) * l, charges, e)[0]
-    n0 = count_nodes_by_residue(mp, charges, e)[0]
+    n0 = oracle.count_nodes_by_residue(mp, charges, e)[0]
     assert size(p) == size(kappa) + mp_size(mp) + e * (l - 1) * n0
 
 
